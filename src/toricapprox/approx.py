@@ -11,9 +11,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .conditions import ToricPair, Variant, nm_generators
+from .conditions import ToricPair, Variant
 from .fan import is_complete, is_smooth
 from .intlat import IntMatrix, right_inverse
 from .points import CoxPoint, MPointWitness, factorize, is_m_point, is_squarefree, mult_at_prime, v_p
@@ -134,7 +134,6 @@ def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("recombination needs per-divisor multiplicities")
-    lattice_gens, _ = nm_generators(pair)
     # reconstruct the single-ray vectors alongside their phi-images
     gens = []
     cols = []

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .approx import RetriesExhausted, ScanCapExhausted, m_point_approximate
@@ -19,8 +18,6 @@ from .conditions import (
     ToricPair,
     conditions_from_json,
     darmon,
-    DivisorCondition,
-    Kind,
     MultiplicitySet,
 )
 from .decide import (
@@ -36,7 +33,7 @@ from .decide import (
     pi1_root_stack,
 )
 from .enumerate import census_to_csv, crosscheck, enumerate_projective, enumerate_toric
-from .fan import Fan, fan_validate, hirzebruch, is_smooth, product, projective_space, weighted_P11r
+from .fan import Fan, fan_validate, hirzebruch, product, projective_space, weighted_P11r
 from .fields import FieldDescriptor, field_from_json, rho_of
 from .points import CoxPoint, FactorizationError, is_m_point
 from .intlat import INF
@@ -95,7 +92,7 @@ def parse_field(arg) -> FieldDescriptor:
         return FieldDescriptor.number_field()
     try:
         return field_from_json(_load_json_arg(arg))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"cannot read field descriptor: {e}")
 
 
@@ -129,15 +126,7 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
-    inv = invariants_of(pair)
-    obj = {
-        "index": "inf" if inv.index == INF else inv.index,
-        "invariant_factors": list(inv.quotient.invariant_factors),
-        "free_rank": inv.quotient.free_rank,
-        "cone_full": inv.cone_full,
-        "nm_plus_equals_n": inv.nm_plus_equals_n,
-        "notes": list(inv.notes),
-    }
+    obj = invariants_of(pair).to_json()
     if args.json:
         print(json.dumps(obj, indent=2))
     else:
@@ -349,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="builtin shorthand (p2, p1xp1, hirzebruch:2, p11r:3) "
                         "or fan JSON (inline or path)")
         sp.add_argument("--json", action="store_true", help="machine output")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="accepted for reproducibility; all scans are "
-                        "deterministic by default")
         if cond:
             sp.add_argument("--cond", help="multiplicity set JSON (inline or path)")
             sp.add_argument("--darmon", help="comma list of m (or inf) per ray")
@@ -360,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--field", help="field JSON or 'q' (default: Q)")
             sp.add_argument("--everywhere", action="store_true",
                             help="T empty: approximation at the full place set")
-            sp.add_argument("--off-t", dest="off_t", action="store_true",
-                            help="T nonempty (default)")
             sp.add_argument("--assert", dest="assert_", action="store_true",
                             help="exit 1 on a NO verdict")
 

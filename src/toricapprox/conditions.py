@@ -216,6 +216,16 @@ class PairInvariants:
     nm_plus_equals_n: bool
     notes: tuple = ()
 
+    def to_json(self) -> dict:
+        return {
+            "index": "inf" if self.index == INF else self.index,
+            "invariant_factors": list(self.quotient.invariant_factors),
+            "free_rank": self.quotient.free_rank,
+            "cone_full": self.cone_full,
+            "nm_plus_equals_n": self.nm_plus_equals_n,
+            "notes": list(self.notes),
+        }
+
 
 def _m_from_json(x):
     if x == "inf":
@@ -246,10 +256,6 @@ def conditions_from_json(obj) -> MultiplicitySet:
     if obj.get("type") == "weak_campana":
         return MultiplicitySet.weak_campana([_m_from_json(x) for x in obj["m"]])
     raise ValueError(f"unrecognized multiplicity set: {obj!r}")
-
-
-def admits(cond: DivisorCondition, w) -> bool:
-    return cond.admits(w)
 
 
 def support_is_conical(pair: ToricPair, support) -> bool:

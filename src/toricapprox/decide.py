@@ -39,6 +39,7 @@ from .intlat import (
     lattice_from_generators,
     quotient_invariants,
 )
+from .points import factorize
 
 
 class Holds(Enum):
@@ -59,17 +60,7 @@ class Verdict:
     invariants: Optional[PairInvariants] = None
 
     def to_json(self) -> dict:
-        inv = None
-        if self.invariants is not None:
-            q = self.invariants.quotient
-            inv = {
-                "index": "inf" if self.invariants.index == INF else self.invariants.index,
-                "invariant_factors": list(q.invariant_factors),
-                "free_rank": q.free_rank,
-                "cone_full": self.invariants.cone_full,
-                "nm_plus_equals_n": self.invariants.nm_plus_equals_n,
-                "notes": list(self.invariants.notes),
-            }
+        inv = None if self.invariants is None else self.invariants.to_json()
         return {"property": self.property, "holds": self.holds.value,
                 "reasons": list(self.reasons), "invariants": inv}
 
@@ -257,7 +248,10 @@ class ThinnessReport:
 
 
 def _divisors_gt1(n: int) -> tuple:
-    return tuple(d for d in range(2, n + 1) if n % d == 0)
+    divisors = [1]
+    for p, e in factorize(n).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    return tuple(sorted(divisors)[1:])
 
 
 def classify_thinness(pair: ToricPair, field: FieldDescriptor,

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .conditions import Kind, ToricPair, Variant
 from .fan import is_complete, is_smooth
-from .intlat import INF
 from .points import (
     CoxPoint,
     factorize,

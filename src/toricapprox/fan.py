@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from itertools import product as _iter_product
 from math import gcd
 from typing import Optional, Sequence
 
 from .intlat import (
-    IntMatrix,
     QuotientStructure,
     _lp_feasible,
     lattice_from_generators,
     quotient_invariants,
-    snf,
     solve_integral,
     solve_rational,
 )
@@ -237,20 +234,6 @@ def weighted_P11r(r: int) -> Fan:
         raise ValueError("r must be at least 1")
     rays = [(-1, r), (1, 0), (0, -1)]
     return Fan.make(2, rays, [(0, 1), (1, 2), (0, 2)])
-
-
-BUILTINS = {
-    "projective_space": projective_space,
-    "product": product,
-    "hirzebruch": hirzebruch,
-    "weighted_P11r": weighted_P11r,
-}
-
-
-def builtin(name: str, *params) -> Fan:
-    if name not in BUILTINS:
-        raise ValueError(f"unknown builtin fan {name!r}")
-    return BUILTINS[name](*params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ allowed primes plus a derivation note for auditability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from .points import FactorizationError, factorize, is_prime
 
 
 class FieldKind(Enum):
@@ -27,28 +29,6 @@ class BaseClass(Enum):
     OTHER = "other"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while q % p != 0:
-        p += 1
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
     """A PF field (K, C): a global field, or the function field of a curve C/k."""
@@ -62,18 +42,24 @@ class FieldDescriptor:
 
     def __post_init__(self):
         if self.kind is FieldKind.GLOBAL_FUNCTION_FIELD:
-            if self.q is None or not _is_prime_power(self.q):
+            try:
+                prime_power = self.q is not None and self.q > 1 and len(factorize(self.q)) == 1
+            except FactorizationError:  # two distinct primes above the trial bound
+                prime_power = False
+            if not prime_power:
                 raise ValueError("global function field needs a prime power q")
         elif self.kind is FieldKind.FUNCTION_FIELD:
             if self.base is None or self.char is None:
                 raise ValueError("function field needs a base class and characteristic")
-            if self.char != 0 and not _is_prime(self.char):
+            if self.char != 0 and not is_prime(self.char):
                 raise ValueError("characteristic must be 0 or prime")
             if self.base in (BaseClass.REAL_CLOSED, BaseClass.HEREDITARILY_EUCLIDEAN):
                 if self.char != 0:
                     raise ValueError(f"{self.base.value} base fields have characteristic 0")
             if self.base is BaseClass.P_CLOSED and self.closed_primes is None:
                 raise ValueError("p-closed base needs its set of primes")
+            if not all(isinstance(p, int) and is_prime(p) for p in self.closed_primes or ()):
+                raise ValueError("closed_primes must all be primes")
 
     @classmethod
     def number_field(cls) -> "FieldDescriptor":
@@ -98,9 +84,7 @@ class FieldDescriptor:
         if self.kind is FieldKind.NUMBER_FIELD:
             return 0
         if self.kind is FieldKind.GLOBAL_FUNCTION_FIELD:
-            p = 2
-            while self.q % p != 0:
-                p += 1
+            (p,) = factorize(self.q)
             return p
         return self.char
 
@@ -120,35 +104,28 @@ class RhoSpec:
     primes: tuple = ()  # the excluded prime(s) for ALL_EXCEPT, the list for EXACTLY
     note: str = ""
 
-    def contains_prime(self, p: int) -> bool:
-        if self.allowed is Allowed.ALL:
-            return True
-        if self.allowed is Allowed.NONE:
-            return False
-        if self.allowed is Allowed.ALL_EXCEPT:
-            return p not in self.primes
-        return p in self.primes
-
     def is_trivial(self) -> bool:
         return self.allowed is Allowed.NONE or (
             self.allowed is Allowed.EXACTLY and not self.primes)
 
 
 def rho_contains(spec: RhoSpec, n: int) -> bool:
-    """Membership of n >= 1 in rho: every prime factor of n must be allowed."""
+    """Membership of n >= 1 in rho: every prime factor of n must be allowed.
+
+    Decided from the primes the spec names, which are primes by construction,
+    so n is never factored."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            if not spec.contains_prime(d):
-                return False
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1 and not spec.contains_prime(n):
-        return False
-    return True
+    if spec.allowed is Allowed.ALL:
+        return True
+    if spec.allowed is Allowed.NONE:
+        return n == 1
+    if spec.allowed is Allowed.ALL_EXCEPT:
+        return all(n % p for p in spec.primes)
+    for p in spec.primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def rho_of(fd: FieldDescriptor) -> RhoSpec:

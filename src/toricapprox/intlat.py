@@ -222,13 +222,10 @@ def snf(A: IntMatrix) -> SmithDecomposition:
         U[i] = [U[i][k] - f * U[j][k] for k in range(m)]
 
     def col_sub(i, j, f):  # col_i -= f * col_j
-        for r in range(n_rows_S()):
+        for r in range(m):
             S[r][i] -= f * S[r][j]
         for r in range(n):
             V[r][i] -= f * V[r][j]
-
-    def n_rows_S():
-        return m
 
     t = 0
     while t < min(m, n):

@@ -9,12 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain, cycle
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, minimal_cone_containing
 from .intlat import INF, IntMatrix, snf, solve_in_smooth_cone
-from .conditions import ToricPair
+from .conditions import ToricPair, _phi
 
 
 class FactorizationError(ValueError):
@@ -24,12 +25,16 @@ class FactorizationError(ValueError):
 _TRIAL_BOUND = 10 ** 6
 # deterministic Miller-Rabin bases valid for all n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# trial divisors: steps 2 -> 3 -> 5 -> 7, then the mod-30 wheel from 7
+_WHEEL_START = (1, 2, 2)
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test, deterministic for n < 3.3 * 10^24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -50,6 +55,59 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _trial_division(n: int, squarefree_only: bool = False):
+    """Divide n >= 1 by the primes up to _TRIAL_BOUND.
+
+    Returns (small, c): small maps each prime found to its exponent, and the
+    cofactor c is 1, a prime, or has no prime factor up to _TRIAL_BOUND.  With
+    squarefree_only, returns None at the first prime dividing n twice.
+    """
+    small = {}
+    steps = chain(_WHEEL_START, cycle(_WHEEL))
+    d = 2
+    limit = min(_TRIAL_BOUND, isqrt(n))
+    while d <= limit:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e > 1 and squarefree_only:
+                return None
+            small[d] = e
+            limit = min(_TRIAL_BOUND, isqrt(n))
+        d += next(steps)
+    return small, n
+
+
+def _iroot(n: int, k: int) -> int:
+    """The k-th root of n >= 1, rounded down, in integer arithmetic."""
+    if k == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _cofactor_root(c: int) -> tuple:
+    """(r, k) with c = r**k and r no perfect power, for a cofactor c left by
+    the trial division.  Every prime factor of a composite c exceeds
+    _TRIAL_BOUND, so only primes q with _TRIAL_BOUND**q < c can divide k."""
+    k, q = 1, 2
+    while _TRIAL_BOUND ** q < c:
+        r = _iroot(c, q)
+        if r ** q == c:
+            c, k = r, k * q
+            continue
+        q += 1
+        while not is_prime(q):
+            q += 1
+    return c, k
+
+
 def factorize(n: int) -> dict:
     """Prime factorization of |n| as {p: e}; n must be nonzero."""
     if n == 0:
@@ -59,32 +117,20 @@ def factorize(n: int) -> dict:
 
 @lru_cache(maxsize=1 << 18)
 def _factorize_cached(n: int) -> tuple:
-    out = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += inc[i]
-        i = (i + 1) % 8
-    if n == 1:
-        return tuple(out.items())
-    if n < _TRIAL_BOUND ** 2 or _is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return tuple(out.items())
-    raise FactorizationError(
-        f"cofactor {n} is composite with no prime factor below {_TRIAL_BOUND}; "
-        "inputs of this scale are out of scope")
+    out, c = _trial_division(n)
+    if c > 1:
+        r, k = _cofactor_root(c)
+        # a composite r has two prime factors above the bound, so r < bound**2 is prime
+        if not (r < _TRIAL_BOUND ** 2 or is_prime(r)):
+            raise FactorizationError(
+                f"cofactor {r} is composite with no prime factor below {_TRIAL_BOUND}; "
+                "inputs of this scale are out of scope")
+        out[r] = k
+    return tuple(out.items())
 
 
-def v_p(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+def v_p(x, p: int) -> int:
+    """p-adic valuation of a nonzero integer or rational."""
     if x == 0:
         raise ValueError("valuation of 0 requested")
     v = 0
@@ -164,12 +210,11 @@ def mult_at_prime(p: int, P: CoxPoint):
             raise ValueError("boundary multiplicities implemented for projective "
                              "space only; general fans need the interior case")
         ints = _coprime_integer_rep(P.coords)
-        return tuple(INF if a == 0 else _vp_int(a, p) for a in ints)
+        return tuple(INF if a == 0 else v_p(a, p) for a in ints)
     if not (is_smooth(fan) and is_complete(fan)):
         raise ValueError("multiplicities need a smooth complete fan "
                          "(representative independence)")
-    w = [v_p(c, p) for c in P.coords]
-    u = tuple(sum(wi * r[j] for wi, r in zip(w, fan.rays)) for j in range(fan.dim))
+    u = _phi(fan, [v_p(c, p) for c in P.coords])
     cone = minimal_cone_containing(fan, u)
     gens = [fan.rays[i] for i in cone]
     coeffs = solve_in_smooth_cone(gens, u)
@@ -181,22 +226,12 @@ def mult_at_prime(p: int, P: CoxPoint):
     return tuple(out)
 
 
-def _vp_int(a: int, p: int) -> int:
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
 def phi_v(p: int, P: CoxPoint) -> tuple:
     """The cocharacter sum of valuations: representative-independent image of
     the multiplicity vector."""
-    fan = P.fan
     if P.zero_support():
         raise ValueError("phi_v needs all-nonzero coordinates")
-    w = [v_p(c, p) for c in P.coords]
-    return tuple(sum(wi * r[j] for wi, r in zip(w, fan.rays)) for j in range(fan.dim))
+    return _phi(P.fan, [v_p(c, p) for c in P.coords])
 
 
 @dataclass(frozen=True)
@@ -255,34 +290,17 @@ def is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:
         return False
-    if n == 1:
-        return True
-    for p in (2, 3, 5):
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d <= _TRIAL_BOUND and d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += inc[i]
-        i = (i + 1) % 8
-    if n == 1:
-        return True
-    # every prime factor of the cofactor now exceeds the trial bound
-    for k in range(2, n.bit_length()):
-        r = round(n ** (1 / k))
-        if any(c ** k == n for c in (r - 1, r, r + 1)):
-            return False
-    if n < _TRIAL_BOUND ** 3 or _is_prime(n):
+    split = _trial_division(n, squarefree_only=True)
+    if split is None:
+        return False
+    r, k = _cofactor_root(split[1])
+    if k > 1:
+        return False
+    # below the cube of the bound a composite r is a product of two distinct primes
+    if r < _TRIAL_BOUND ** 3 or is_prime(r):
         return True
     raise FactorizationError(
-        f"cannot certify squarefreeness of the cofactor {n}; "
+        f"cannot certify squarefreeness of the cofactor {r}; "
         "inputs of this scale are out of scope")
 
 

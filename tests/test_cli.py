@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from toricapprox.cli import main, parse_fan
 from toricapprox.fan import hirzebruch, projective_space
+from toricapprox.points import _factorize_cached
 
 
 def run(capsys, *argv):
@@ -138,3 +140,37 @@ def test_scan_cap_defect_exit_code(capsys, monkeypatch):
     rc, _, err = run(capsys, "approximate", "--fan", "p1", "--darmon", "2,3",
                      "--targets", targets)
     assert rc == 3 and "defect" in err
+
+
+HANG_PRIME = 999999999989  # the largest prime below 10^12
+BIG_N = 1000000007 * 1000000009
+
+
+@pytest.mark.parametrize("argv, want_rc, want_out", [
+    (["decide", "m-approx", "--fan", "p2", "--darmon", "2,3,5", "--field",
+      json.dumps({"kind": "global_function_field", "q": HANG_PRIME})], (0,), "YES"),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", f"{BIG_N},{BIG_N}", "--field",
+      json.dumps({"kind": "function_field", "base": "separably_closed", "char": 0})],
+     (0,), "SUFFICIENT_ONLY"),
+    (["decide", "thinness", "--fan", "p1", "--darmon", f"{HANG_PRIME},{HANG_PRIME}"],
+     (0,), f"thinness: strictly_d_thin d=[{HANG_PRIME}]"),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+      json.dumps({"7": {"point": {"coords": ["1", "2", "3"]}, "digits": 400}})], (0, 3), ""),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--field",
+      json.dumps({"kind": "function_field", "base": "p_closed", "char": 3,
+                  "closed_primes": [2, 4]})], (2,), ""),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--field",
+      json.dumps({"kind": "function_field", "base": "p_closed", "char": 3,
+                  "closed_primes": 5})], (2,), ""),
+])
+def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
+    """Inputs whose index, field size, digits or prime list once made a
+    primality, divisor or root loop hang, overflow or raise: each ends in
+    seconds with an answer or a defect/input exit code."""
+    _factorize_cached.cache_clear()
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert rc in want_rc, err
+    assert want_out in out
+    assert "Traceback" not in err

@@ -109,3 +109,22 @@ def test_field_from_json():
     fd = field_from_json({"kind": "function_field", "base": "separably_closed",
                           "char": 5})
     assert fd.char == 5
+
+
+def test_large_characteristic_and_field_size():
+    p = 10 ** 18 + 3
+    spec = rho_of(FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, p))
+    assert spec.primes == (p,)
+    assert rho_contains(spec, 6) and not rho_contains(spec, 2 * p)
+    assert FieldDescriptor.global_function_field(999999999989).characteristic() == 999999999989
+    assert FieldDescriptor.global_function_field(1000003 ** 2).characteristic() == 1000003
+    with pytest.raises(ValueError, match="prime power"):
+        FieldDescriptor.global_function_field(1000003 * 1000033)
+
+
+def test_closed_primes_must_be_primes():
+    with pytest.raises(ValueError, match="closed_primes"):
+        FieldDescriptor.function_field(BaseClass.P_CLOSED, 3, closed_primes={2, 4})
+    with pytest.raises(ValueError, match="closed_primes"):
+        field_from_json({"kind": "function_field", "base": "p_closed", "char": 0,
+                         "closed_primes": ["7"]})

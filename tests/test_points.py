@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricapprox.conditions import (
     DivisorCondition,
@@ -13,12 +14,15 @@ from toricapprox.conditions import (
     campana,
     darmon,
 )
+from toricapprox.decide import _divisors_gt1
 from toricapprox.fan import hirzebruch, projective_space
+from toricapprox.fields import Allowed, BaseClass, FieldDescriptor, RhoSpec, rho_contains
 from toricapprox.intlat import INF
 from toricapprox.points import (
     CoxPoint,
     FactorizationError,
     factorize,
+    is_prime,
     is_m_full,
     is_m_point,
     is_perfect_power,
@@ -146,3 +150,91 @@ def test_boundary_rejected_off_projective_space():
     P = CoxPoint.make(h2, [0, 1, 1, 1])
     with pytest.raises(ValueError, match="projective"):
         mult_at_prime(2, P)
+
+
+# ---------------------------------------------------------------------------
+# The number-theory kernel against brute force
+# ---------------------------------------------------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# the primes just above the trial-division bound of 10^6
+BIG_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+
+
+def _naive_factorize(n: int) -> dict:
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _naive_rho_contains(spec: RhoSpec, primes) -> bool:
+    if spec.allowed is Allowed.ALL:
+        return True
+    if spec.allowed is Allowed.NONE:
+        return not primes
+    if spec.allowed is Allowed.ALL_EXCEPT:
+        return not set(primes) & set(spec.primes)
+    return set(primes) <= set(spec.primes)
+
+
+def _specs(pool):
+    return st.builds(RhoSpec, st.sampled_from(list(Allowed)),
+                     st.lists(st.sampled_from(pool), max_size=4, unique=True).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 4), _specs(SMALL_PRIMES))
+def test_kernel_matches_brute_force(n, spec):
+    assert factorize(n) == _naive_factorize(n)
+    assert is_prime(n) == (_naive_factorize(n) == {n: 1})
+    assert is_squarefree(n) == all(n % (d * d) for d in range(2, n + 1))
+    assert _divisors_gt1(n) == tuple(d for d in range(2, n + 1) if n % d == 0)
+    assert rho_contains(spec, n) == _naive_rho_contains(spec, _naive_factorize(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10 ** 4), st.sampled_from(["p", "p^2", "pq", "p^2q"]),
+       st.lists(st.sampled_from(BIG_PRIMES), min_size=2, max_size=2, unique=True),
+       _specs(SMALL_PRIMES + BIG_PRIMES))
+def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
+    """s times a product of primes above the bound: the answers are known from
+    the construction, and the kernel gives them or declines with
+    FactorizationError exactly where the cofactor cannot be split."""
+    p, q = pq
+    big = {"p": {p: 1}, "p^2": {p: 2}, "pq": {p: 1, q: 1}, "p^2q": {p: 2, q: 1}}[shape]
+    want = {**_naive_factorize(s), **big}
+    n = math.prod(r ** e for r, e in want.items())
+    assert rho_contains(spec, n) == _naive_rho_contains(spec, want)
+    splittable = shape in ("p", "p^2")
+    if splittable:
+        assert factorize(n) == want
+        divisors = [1]
+        for r, e in want.items():
+            divisors = [d * r ** k for d in divisors for k in range(e + 1)]
+        assert _divisors_gt1(n) == tuple(sorted(divisors)[1:])
+    else:
+        with pytest.raises(FactorizationError):
+            factorize(n)
+    squarefree = all(e == 1 for e in want.values())
+    if shape == "p^2q" and all(e == 1 for e in _naive_factorize(s).values()):
+        # p^2 q is not a perfect power and exceeds the cube of the bound
+        with pytest.raises(FactorizationError):
+            is_squarefree(n)
+    else:
+        assert is_squarefree(n) == squarefree
+    big_n = math.prod(r ** e for r, e in big.items())
+    if splittable:
+        assert FieldDescriptor.global_function_field(big_n).characteristic() == p
+    else:
+        with pytest.raises(ValueError, match="prime power"):
+            FieldDescriptor.global_function_field(big_n)
+    assert is_prime(big_n) == (shape == "p")
+    if shape != "p":
+        with pytest.raises(ValueError, match="prime"):
+            FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, big_n)
