@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .conditions import ToricPair, Variant
+from .conditions import ToricPair, Variant, _phi
 from .fan import is_complete, is_smooth
-from .intlat import IntMatrix, right_inverse
+from .intlat import right_inverse
 from .points import CoxPoint, MPointWitness, factorize, is_m_point, is_squarefree, mult_at_prime, v_p
 
 DEFAULT_SCAN_CAP = 10 ** 7
@@ -126,24 +126,22 @@ class GammaData:
     phi-images, surjective onto N."""
 
     generators: tuple  # multiplicity vectors, one nonzero entry each
-    gamma: IntMatrix  # d x l, columns phi(m_s)
-    rinv: IntMatrix  # l x d with gamma @ rinv = identity
+    gamma: tuple  # d x l rows, columns phi(m_s)
+    rinv: tuple  # l x d rows with gamma rinv = identity
 
 
 def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("recombination needs per-divisor multiplicities")
-    # reconstruct the single-ray vectors alongside their phi-images
     gens = []
-    cols = []
     for i, cond in enumerate(pair.conditions.conditions):
         for w in cond.finite_slice():
             vec = [0] * len(fan.rays)
             vec[i] = w
             gens.append(tuple(vec))
-            cols.append([w * x for x in fan.rays[i]])
-    gamma = IntMatrix.from_cols(cols, fan.dim)
+    cols = [_phi(fan, m) for m in gens]
+    gamma = tuple(tuple(c[j] for c in cols) for j in range(fan.dim))
     rinv = right_inverse(gamma)
     if rinv is None:
         raise ValueError("N_M is a proper sublattice of N (index != 1): "
@@ -168,12 +166,11 @@ def solve_local_exponents(pair: ToricPair, gd: GammaData, p: int,
     if target.zero_support():
         raise ValueError("targets must have all-nonzero coordinates")
     a = _characters(pair.fan, target.coords)
-    rrows = gd.rinv.to_rows()
     cs = []
-    for s in range(len(gd.generators)):
+    for row in gd.rinv:
         c = Fraction(1)
-        for j, aj in enumerate(a):
-            c *= aj ** rrows[s][j]
+        for aj, r in zip(a, row):
+            c *= aj ** r
         cs.append(c)
     return cs
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error,
-3 computational defect (scan cap, retries, non-principal pullback, oversized
-factorization).
+Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error
+(including a fan JSON that fails fan_validate), 3 computational defect (scan
+cap, retries, non-principal pullback, oversized factorization, a failed
+internal assertion or an arithmetic error).
 """
 from __future__ import annotations
 
@@ -53,7 +54,11 @@ def _load_json_arg(arg: str):
 
 
 def parse_fan(arg: str) -> Fan:
-    """A builtin shorthand (p1, p2, p1xp1, hirzebruch:2, p11r:3) or JSON."""
+    """A builtin shorthand (p1, p2, p1xp1, hirzebruch:2, p11r:3) or JSON.
+
+    A fan given as JSON must pass fan_validate; builtins are valid by
+    construction.
+    """
     s = arg.strip().lower()
     if s.startswith("p1xp1"):
         return product(projective_space(1), projective_space(1))
@@ -64,9 +69,13 @@ def parse_fan(arg: str) -> Fan:
     if len(s) >= 2 and s[0] == "p" and s[1:].isdigit():
         return projective_space(int(s[1:]))
     try:
-        return Fan.from_json_obj(_load_json_arg(arg))
+        fan = Fan.from_json_obj(_load_json_arg(arg))
+        diags = fan_validate(fan)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise InputError(f"cannot read fan from {arg!r}: {e}")
+    if diags:
+        raise InputError("invalid fan: " + "; ".join(diags))
+    return fan
 
 
 def _parse_mult(token: str):
@@ -110,11 +119,6 @@ def _emit_verdict(v: Verdict, args) -> int:
 
 def cmd_validate(args) -> int:
     fan = parse_fan(args.fan)
-    diags = fan_validate(fan)
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return 2
     print("fan ok" if not args.json else json.dumps({"valid": True}))
     if args.cond or args.darmon or args.campana:
         ms = parse_conditions(args, len(fan.rays))
@@ -417,8 +421,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScanCapExhausted, RetriesExhausted, NotPrincipalError,
-            FactorizationError) as e:
-        print(f"computational defect: {e}", file=sys.stderr)
+            FactorizationError, AssertionError, ArithmeticError) as e:
+        print(f"computational defect: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .intlat import (
     QuotientStructure,
     cone_is_full,
     lattice_from_generators,
-    lattice_index,
     quotient_invariants,
 )
 
@@ -269,7 +268,10 @@ def _phi(fan: Fan, w) -> tuple:
 
 
 def nm_generators(pair: ToricPair):
-    """Finite generating sets for the lattice N_M and the cone of N_M^+."""
+    """Finite generating sets for the lattice N_M and the cone of N_M^+.
+
+    One list generates both; it is returned as a (lattice, cone) pair.
+    """
     fan = pair.fan
     ms = pair.conditions
     gens = []
@@ -317,17 +319,17 @@ def pair_invariants(pair: ToricPair) -> PairInvariants:
     """Decision invariants of a toric pair on a smooth fan."""
     if not is_smooth(pair.fan):
         raise ValueError("fan is singular; compute invariants through nm_singular")
-    lattice_gens, cone_gens = nm_generators(pair)
-    return _invariants_from_gens(pair, lattice_gens, cone_gens)
+    return _invariants_from_gens(pair, nm_generators(pair)[0])
 
 
-def _invariants_from_gens(pair: ToricPair, lattice_gens, cone_gens,
-                          notes=()) -> PairInvariants:
+def _invariants_from_gens(pair: ToricPair, gens, notes=()) -> PairInvariants:
+    """N_M from gens, its index read off the quotient, and whether cone(gens)
+    is all of N_R."""
     d = pair.fan.dim
-    basis = lattice_from_generators(lattice_gens, d)
-    index = lattice_index(basis, d)
+    basis = lattice_from_generators(gens, d)
     quot = quotient_invariants(basis, d)
-    full = cone_is_full(cone_gens, d)
+    index = quot.order()
+    full = cone_is_full(gens, d)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
         notes += (pair.conditions.describe(),)
@@ -335,7 +337,7 @@ def _invariants_from_gens(pair: ToricPair, lattice_gens, cone_gens,
         nm_basis=basis,
         index=index,
         quotient=quot,
-        cone_generators=tuple(tuple(g) for g in cone_gens),
+        cone_generators=tuple(tuple(g) for g in gens),
         cone_full=full,
         nm_plus_equals_n=(index == 1 and full),
         notes=notes,
@@ -411,7 +413,7 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap,
                 gens.add(_phi(src, w))
     gens = sorted(g for g in gens if any(g))
     src_pair = ToricPair(src, _any_set(len(src.rays)))
-    return _invariants_from_gens(src_pair, gens, list(gens),
+    return _invariants_from_gens(src_pair, gens,
                                  notes=(f"pullback enumeration bound W={W}",))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as _iter_product
 from math import gcd
@@ -19,6 +20,7 @@ from .intlat import (
     _lp_feasible,
     lattice_from_generators,
     quotient_invariants,
+    rank,
     solve_integral,
     solve_rational,
 )
@@ -92,10 +94,6 @@ def _primitive(v):
     return tuple(x // g for x in v)
 
 
-def _rank(vectors, dim) -> int:
-    return lattice_from_generators([list(v) for v in vectors], dim).rank
-
-
 def _cones_are_faces(fan: Fan, ca, cb) -> bool:
     """Check cone(ca) and cone(cb) intersect in the common face cone(ca & cb).
 
@@ -160,7 +158,7 @@ def fan_validate(f: Fan) -> list:
         if len(set(c)) != len(c):
             diags.append(f"cone {c} repeats a ray")
             continue
-        if _rank(f.cone_rays(c), f.dim) != len(c):
+        if rank(f.cone_rays(c)) != len(c):
             diags.append(f"cone {c} is not simplicial (rays dependent)")
     if diags:
         return diags
@@ -170,6 +168,7 @@ def fan_validate(f: Fan) -> list:
     return diags
 
 
+@lru_cache(maxsize=256)
 def is_smooth(f: Fan) -> bool:
     """True iff every maximal cone is unimodular (all SNF invariant factors 1)."""
     for c in f.max_cones:
@@ -182,6 +181,7 @@ def is_smooth(f: Fan) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def is_complete(f: Fan) -> bool:
     """Wall-pairing completeness test for pure d-dimensional simplicial fans."""
     if any(len(c) != f.dim for c in f.max_cones):
@@ -243,7 +243,7 @@ def weighted_P11r(r: int) -> Fan:
 def class_group(f: Fan) -> QuotientStructure:
     """Structure of Z^rays / image of the dual lattice (coker of N^v -> Z^Sigma(1))."""
     n = len(f.rays)
-    if _rank(f.rays, f.dim) < f.dim:
+    if rank(f.rays) < f.dim:
         raise ValueError("rays do not span R^d; class group not defined here")
     cols = [[f.rays[i][j] for i in range(n)] for j in range(f.dim)]
     return quotient_invariants(lattice_from_generators(cols, n), n)
@@ -263,15 +263,24 @@ def _cone_coords(f: Fan, cone, v):
     return x
 
 
+def max_cone_coords(f: Fan, v: Sequence[int]):
+    """(cone, coordinates) of v on the first maximal cone containing it, or None.
+
+    The coordinates are nonnegative Fractions, one per ray of the cone.
+    """
+    for c in f.max_cones:
+        x = _cone_coords(f, c, v)
+        if x is not None:
+            return c, x
+    return None
+
+
 def minimal_cone_containing(f: Fan, v: Sequence[int]):
     """Ray-index tuple of the minimal cone whose span contains v, or None."""
     if all(x == 0 for x in v):
         return ()
-    for c in f.max_cones:
-        x = _cone_coords(f, c, v)
-        if x is not None:
-            return tuple(i for i, xi in zip(c, x) if xi > 0)
-    return None
+    hit = max_cone_coords(f, v)
+    return None if hit is None else tuple(i for i, xi in zip(*hit) if xi > 0)
 
 
 def stellar_subdivide(f: Fan, new_ray: Sequence[int]) -> RefinementMap:
@@ -401,13 +410,6 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _containing_max_cone(f: Fan, v):
-    for c in f.max_cones:
-        if _cone_coords(f, c, v) is not None:
-            return c
-    return None
-
-
 def inverse_image_coefficients(r: RefinementMap, i: int):
     """Coefficients of f^-1 D_i on the source divisors, or a NotPrincipal value.
 
@@ -421,10 +423,10 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
     if cd is not None:
         coeffs = []
         for nr in src.rays:
-            c = _containing_max_cone(tgt, nr)
-            if c is None:
+            hit = max_cone_coords(tgt, nr)
+            if hit is None:
                 raise ValueError("source ray outside the target support")
-            m = cd.per_max_cone[tgt.max_cones.index(c)]
+            m = cd.per_max_cone[tgt.max_cones.index(hit[0])]
             coeffs.append(_dot(m, nr))
         return tuple(coeffs)
 

@@ -2,6 +2,9 @@
 
 All arithmetic is exact: arbitrary-precision integers and fractions.Fraction.
 Floating point is never used here; every answer is a discrete mathematical claim.
+
+A matrix is a tuple of row tuples (an m x 0 matrix is m empty rows), and a
+lattice basis is a tuple of basis vectors.
 """
 from __future__ import annotations
 
@@ -15,84 +18,28 @@ INF = math.inf
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary precision."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must be rows * cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
-        ncols = len(cols)
-        ents = []
-        for i in range(nrows):
-            for col in cols:
-                ents.append(int(col[i]))
-        return cls(nrows, ncols, tuple(ents))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
-    def to_cols(self) -> list:
-        return [[self.entries[i * self.cols + j] for i in range(self.rows)] for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(self.to_cols())
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [[sum(a[i][k] * b[k][j] for k in range(self.cols))
-                for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
-
-
-@dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V = S with U, V unimodular and S in Smith normal form."""
+    """U A V = S with U, V unimodular and S in Smith normal form."""
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    U: tuple
+    S: tuple
+    V: tuple
 
     def invariant_factors(self) -> list:
         """All nonzero diagonal entries of S (includes 1s)."""
-        n = min(self.S.rows, self.S.cols)
-        return [self.S[i, i] for i in range(n) if self.S[i, i] != 0]
+        return [row[i] for i, row in enumerate(self.S) if i < len(row) and row[i] != 0]
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Sublattice of Z^ambient_dim given by its canonical column-HNF basis."""
+    """Sublattice of Z^ambient_dim given by its canonical HNF basis."""
 
     ambient_dim: int
-    basis: IntMatrix  # ambient_dim x rank, column HNF
+    basis: tuple  # basis vectors: the columns of the column-style HNF
 
     @property
     def rank(self) -> int:
-        return self.basis.cols
+        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -107,25 +54,35 @@ class QuotientStructure:
         return not self.invariant_factors and self.free_rank == 0
 
     def order(self):
+        """The order of the quotient: INF when the free rank is positive."""
         if self.free_rank > 0:
             return INF
         return math.prod(self.invariant_factors)
+
+
+def _identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _matmul(A, B) -> tuple:
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B))
+                 for row in A)
 
 
 # ---------------------------------------------------------------------------
 # Hermite normal form (column style, canonical)
 # ---------------------------------------------------------------------------
 
-def hnf(A: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form of A.
+def hnf(A: Sequence[Sequence[int]]) -> tuple:
+    """Column-style Hermite normal form of the matrix A (a tuple of rows).
 
     The result spans the same column lattice as A, has one column per pivot
     (zero columns dropped), positive pivots descending left to right, zero
     entries to the right of each pivot in its row, and entries to the left
     reduced into [0, pivot). Equal lattices yield identical results.
     """
-    cols = [c[:] for c in A.to_cols() if any(c)]
-    n = A.rows
+    cols = [list(c) for c in zip(*A) if any(c)]
+    n = len(A)
     result: list = []
     for r in range(n):
         # Gather columns with a nonzero entry in row r and gcd-reduce them.
@@ -152,7 +109,7 @@ def hnf(A: IntMatrix) -> IntMatrix:
             if f:
                 result[k] = [pc[i] - f * piv[i] for i in range(n)]
         result.append(piv)
-    return IntMatrix.from_cols(result, n)
+    return tuple(tuple(c[i] for c in result) for i in range(n))
 
 
 def lattice_from_generators(vectors: Sequence[Sequence[int]], ambient_dim: int) -> LatticeBasis:
@@ -161,61 +118,41 @@ def lattice_from_generators(vectors: Sequence[Sequence[int]], ambient_dim: int) 
         if len(v) != ambient_dim:
             raise ValueError("generator has wrong dimension")
     if not vectors:
-        return LatticeBasis(ambient_dim, IntMatrix(ambient_dim, 0, ()))
-    A = IntMatrix.from_cols([list(v) for v in vectors], ambient_dim)
-    return LatticeBasis(ambient_dim, hnf(A))
+        return LatticeBasis(ambient_dim, ())
+    return LatticeBasis(ambient_dim, tuple(zip(*hnf(tuple(zip(*vectors))))))
 
 
-def lattice_index(sub: LatticeBasis, ambient_dim: int):
-    """Index of sub in Z^ambient_dim: |det| of its basis, or INF if rank-deficient."""
-    if sub.ambient_dim != ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if sub.rank < ambient_dim:
-        return INF
-    return abs(_det(sub.basis.to_rows()))
-
-
-def _det(rows: list) -> int:
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    r = 0
+    while rows:
+        piv = rows.pop()
+        c = next(j for j, x in enumerate(piv) if x)
+        # clear column c from the other rows; it stays clear in later passes
+        rows = [[piv[c] * a - row[c] * b for a, b in zip(row, piv)] for row in rows]
+        rows = [row for row in rows if any(row)]
+        r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def snf(A: IntMatrix) -> SmithDecomposition:
+def snf(A: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form via elementary operations with pivot-size control.
 
-    Returns (U, S, V) with U @ A @ V = S, |det U| = |det V| = 1, S diagonal
+    Returns (U, S, V) with U A V = S, |det U| = |det V| = 1, S diagonal
     with nonnegative entries in a divisibility chain.
     """
-    m, n = A.rows, A.cols
+    m = len(A)
+    n = len(A[0]) if m else 0
     if m == 0 or n == 0:
-        return SmithDecomposition(IntMatrix.identity(m), A, IntMatrix.identity(n))
-    S = A.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
+        return SmithDecomposition(_identity(m), tuple(map(tuple, A)), _identity(n))
+    S = [list(row) for row in A]
+    U = [list(row) for row in _identity(m)]
+    V = [list(row) for row in _identity(n)]
 
     def row_sub(i, j, f):  # row_i -= f * row_j
         S[i] = [S[i][k] - f * S[j][k] for k in range(n)]
@@ -293,8 +230,7 @@ def snf(A: IntMatrix) -> SmithDecomposition:
                 S[i][k] = -S[i][k]
             for k in range(m):
                 U[i][k] = -U[i][k]
-    return SmithDecomposition(
-        IntMatrix.from_rows(U), IntMatrix.from_rows(S), IntMatrix.from_rows(V))
+    return SmithDecomposition(*(tuple(map(tuple, M)) for M in (U, S, V)))
 
 
 def quotient_invariants(sub: LatticeBasis, ambient_dim: int) -> QuotientStructure:
@@ -308,18 +244,15 @@ def quotient_invariants(sub: LatticeBasis, ambient_dim: int) -> QuotientStructur
     return QuotientStructure(tuple(f for f in facs if f > 1), ambient_dim - len(facs))
 
 
-def right_inverse(A: IntMatrix) -> Optional[IntMatrix]:
-    """Integer right inverse R with A @ R = I, or None if A is not surjective."""
-    d = A.rows
+def right_inverse(A: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """Integer right inverse R with A R = I, or None if A is not surjective."""
+    d = len(A)
     dec = snf(A)
     facs = dec.invariant_factors()
     if len(facs) < d or any(f != 1 for f in facs):
         return None
-    # A = U^-1 S V^-1, so R = V @ J @ U with J the l x d "identity" slab.
-    V_rows = dec.V.to_rows()
-    J_cols = [[V_rows[r][j] for r in range(A.cols)] for j in range(d)]  # V[:, :d]
-    VJ = IntMatrix.from_cols(J_cols, A.cols)
-    return VJ @ dec.U
+    # A = U^-1 S V^-1 with S = [I | 0], so R = V[:, :d] U.
+    return _matmul(tuple(row[:d] for row in dec.V), dec.U)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +325,15 @@ def cone_contains(generators: Sequence[Sequence[int]], v: Sequence) -> bool:
 
 
 def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int) -> bool:
-    """True iff the generated convex cone is all of R^ambient_dim."""
-    for i in range(ambient_dim):
-        for s in (1, -1):
-            e = [0] * ambient_dim
-            e[i] = s
-            if not cone_contains(generators, e):
-                return False
-    return True
+    """True iff the generated convex cone is all of R^ambient_dim.
+
+    That holds exactly when the generators have rank ambient_dim and -sum(G)
+    lies in cone(G), a theorem of the alternative of Gordan type (Schrijver,
+    Theory of Linear and Integer Programming, ch. 7): one LP decides it.
+    """
+    if rank(generators) < ambient_dim:
+        return False
+    return cone_contains(generators, [-sum(col) for col in zip(*generators)])
 
 
 def solve_rational(Arows: list, b: list):
@@ -439,14 +373,12 @@ def solve_rational(Arows: list, b: list):
 
 def solve_integral(Arows: list, b: list):
     """Solve A x = b over Z; returns an integer solution or None."""
-    A = IntMatrix.from_rows(Arows)
-    dec = snf(A)
-    m, n = A.rows, A.cols
-    Ub = dec.U.to_rows()
-    c = [sum(Ub[i][k] * b[k] for k in range(m)) for i in range(m)]
+    dec = snf(Arows)
+    m, n = len(Arows), len(Arows[0])
+    c = [sum(u * x for u, x in zip(row, b)) for row in dec.U]
     y = [0] * n
     for i in range(min(m, n)):
-        di = dec.S[i, i]
+        di = dec.S[i][i]
         if di == 0:
             if c[i] != 0:
                 return None
@@ -457,14 +389,16 @@ def solve_integral(Arows: list, b: list):
     for i in range(n, m):
         if c[i] != 0:
             return None
-    Vr = dec.V.to_rows()
-    return [sum(Vr[i][k] * y[k] for k in range(n)) for i in range(n)]
+    return [sum(v * yk for v, yk in zip(row, y)) for row in dec.V]
 
 
 def solve_in_smooth_cone(cone_rays: Sequence[Sequence[int]], v: Sequence[int]):
     """Coordinates of v in a unimodular simplicial cone, or None if v is outside.
 
     The rays must extend to a Z-basis; non-unimodular input is rejected.
+    The package reads cone coordinates through fan.max_cone_coords; this
+    standalone form is the test oracle for points.mult_at_prime and stays
+    wrapped by the perfbench tracer.
     """
     rays = [list(r) for r in cone_rays]
     if not rays:

@@ -13,8 +13,8 @@ from itertools import chain, cycle
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from .fan import Fan, is_complete, is_smooth, minimal_cone_containing
-from .intlat import INF, IntMatrix, snf, solve_in_smooth_cone
+from .fan import Fan, is_complete, is_smooth, max_cone_coords
+from .intlat import INF, snf
 from .conditions import ToricPair, _phi
 
 
@@ -215,14 +215,13 @@ def mult_at_prime(p: int, P: CoxPoint):
         raise ValueError("multiplicities need a smooth complete fan "
                          "(representative independence)")
     u = _phi(fan, [v_p(c, p) for c in P.coords])
-    cone = minimal_cone_containing(fan, u)
-    gens = [fan.rays[i] for i in cone]
-    coeffs = solve_in_smooth_cone(gens, u)
-    if coeffs is None:
-        raise AssertionError("minimal cone did not contain its defining vector")
+    hit = max_cone_coords(fan, u)
+    if hit is None or any(x.denominator != 1 for x in hit[1]):
+        raise AssertionError(f"{u} has no integral coordinates on a maximal cone "
+                             "of a smooth complete fan")
     out = [0] * len(fan.rays)
-    for i, c in zip(cone, coeffs):
-        out[i] = c
+    for i, x in zip(*hit):
+        out[i] = x.numerator
     return tuple(out)
 
 
@@ -307,9 +306,6 @@ def is_squarefree(n: int) -> bool:
 def torus_kernel_basis(fan: Fan) -> list:
     """Integer basis of the exponent vectors k with sum_i k_i n_i = 0: the
     rescalings t_i = s^{k_i} act trivially on phi_v."""
-    d, n = fan.dim, len(fan.rays)
-    A = IntMatrix.from_cols([list(r) for r in fan.rays], d)  # d x n
-    dec = snf(A)
-    rank = sum(1 for f in dec.invariant_factors() if f != 0)
-    vc = dec.V.to_cols()
-    return [tuple(vc[j]) for j in range(rank, n)]
+    dec = snf(tuple(zip(*fan.rays)))  # d x n, one column per ray
+    vc = tuple(zip(*dec.V))
+    return list(vc[len(dec.invariant_factors()):])

@@ -142,6 +142,17 @@ def test_scan_cap_defect_exit_code(capsys, monkeypatch):
     assert rc == 3 and "defect" in err
 
 
+@pytest.mark.parametrize("exc, msg", [(AssertionError(), "AssertionError"),
+                                      (ZeroDivisionError("division by zero"), "division by zero")])
+def test_internal_defects_exit_3(capsys, monkeypatch, exc, msg):
+    def defect(pair):
+        raise exc
+
+    monkeypatch.setattr("toricapprox.cli.invariants_of", defect)
+    rc, _, err = run(capsys, "analyze", "--fan", "p2", "--darmon", "2,3,5")
+    assert rc == 3 and err == f"computational defect: {msg}\n"
+
+
 HANG_PRIME = 999999999989  # the largest prime below 10^12
 BIG_N = 1000000007 * 1000000009
 
@@ -162,6 +173,13 @@ BIG_N = 1000000007 * 1000000009
     (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--field",
       json.dumps({"kind": "function_field", "base": "p_closed", "char": 3,
                   "closed_primes": 5})], (2,), ""),
+    # malformed fan JSON: a non-primitive ray, overlapping cones, a bad index
+    (["decide", "m-approx", "--darmon", "2,3", "--fan",
+      '{"dim":2,"rays":[[2,0],[0,1]],"max_cones":[[0,1]]}'], (2,), ""),
+    (["decide", "m-approx", "--darmon", "2,3,5", "--fan",
+      '{"dim":2,"rays":[[1,0],[0,1],[1,1]],"max_cones":[[0,1],[1,2]]}'], (2,), ""),
+    (["analyze", "--darmon", "2,3", "--fan",
+      '{"dim":2,"rays":[[1,0],[0,1]],"max_cones":[[0,5]]}'], (2,), ""),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a

@@ -15,9 +15,15 @@ from toricapprox.conditions import (
     darmon,
 )
 from toricapprox.decide import _divisors_gt1
-from toricapprox.fan import hirzebruch, projective_space
+from toricapprox import intlat
+from toricapprox.fan import (
+    hirzebruch,
+    minimal_cone_containing,
+    product as fan_product,
+    projective_space,
+)
 from toricapprox.fields import Allowed, BaseClass, FieldDescriptor, RhoSpec, rho_contains
-from toricapprox.intlat import INF
+from toricapprox.intlat import INF, solve_in_smooth_cone
 from toricapprox.points import (
     CoxPoint,
     FactorizationError,
@@ -238,3 +244,41 @@ def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
     if shape != "p":
         with pytest.raises(ValueError, match="prime"):
             FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, big_n)
+
+
+def _two_step_mult(p, P):
+    """The minimal containing cone, then a unimodular solve on that face."""
+    u = phi_v(p, P)
+    cone = minimal_cone_containing(P.fan, u)
+    coeffs = solve_in_smooth_cone([P.fan.rays[i] for i in cone], u)
+    out = [0] * len(P.fan.rays)
+    for i, c in zip(cone, coeffs):
+        out[i] = c
+    return tuple(out)
+
+
+SMOOTH_COMPLETE = [P2, fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
+_COORD = st.builds(Fraction, st.sampled_from([-12, -5, 1, 2, 3, 4, 9, 18, 25, 27]),
+                   st.sampled_from([1, 2, 3, 5, 8, 45]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SMOOTH_COMPLETE), st.data())
+def test_mult_at_prime_matches_the_two_step_path(fan, data):
+    coords = data.draw(st.lists(_COORD, min_size=len(fan.rays), max_size=len(fan.rays)))
+    P = CoxPoint.make(fan, coords)
+    for p in (2, 3, 5):
+        assert mult_at_prime(p, P) == _two_step_mult(p, P), (coords, p)
+
+
+def test_mult_at_prime_runs_no_normal_form_on_a_checked_fan(monkeypatch):
+    h3 = hirzebruch(3)
+    P = CoxPoint.make(h3, [Fraction(12, 5), 9, Fraction(1, 8), 25])
+    mult_at_prime(2, P)  # checks the fan once
+    calls = []
+    for name in ("hnf", "snf"):
+        fn = getattr(intlat, name)
+        monkeypatch.setattr(intlat, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    for p in (2, 3, 5):
+        mult_at_prime(p, P)
+    assert calls == []
