@@ -36,6 +36,8 @@ class Kind(Enum):
 
 
 _PARAMETRIC = {Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON}
+# kinds whose pullback generators nm_singular builds exactly
+_EXACT_KINDS = {Kind.ANY, Kind.INTEGRAL} | _PARAMETRIC
 
 
 @dataclass(frozen=True)
@@ -365,12 +367,13 @@ def pulled_back_set(ms: MultiplicitySet, coeffs: Sequence[Sequence[int]]):
     return admits_vec
 
 
-def nm_singular(pair: ToricPair, refinement: RefinementMap,
-                coefficient_override=None) -> PairInvariants:
+def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     """Invariants of the pair pulled back along a smooth refinement.
 
-    Generators of N_{f*M} are found by bounded enumeration of cone-supported
-    vectors with entries <= W (W recorded in the notes).
+    For a PRODUCT of ANY, INTEGRAL, CAMPANA, DARMON and STRICT_DARMON
+    conditions the generators of N_{f*M} are built exactly, one congruence
+    lattice per source cone.  Other multiplicity sets are enumerated over
+    cone-supported vectors with entries <= W (W recorded in the notes).
     """
     fan0 = pair.fan
     src = refinement.source
@@ -378,17 +381,69 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap,
         raise ValueError("refinement target must be the pair's fan")
     if not is_smooth(src):
         raise ValueError("refinement source must be smooth")
-    if coefficient_override is not None:
-        coeffs = [tuple(row) for row in coefficient_override]
-    else:
-        coeffs = []
-        for alpha in range(len(fan0.rays)):
-            c = inverse_image_coefficients(refinement, alpha)
-            if isinstance(c, NotPrincipal):
-                raise NotPrincipalError(alpha, c)
-            coeffs.append(c)
+    coeffs = []
+    for alpha in range(len(fan0.rays)):
+        c = inverse_image_coefficients(refinement, alpha)
+        if isinstance(c, NotPrincipal):
+            raise NotPrincipalError(alpha, c)
+        coeffs.append(c)
+    assert all(x >= 0 for row in coeffs for x in row), "negative pullback coefficient"
 
     ms = pair.conditions
+    if ms.variant is Variant.PRODUCT and all(c.kind in _EXACT_KINDS for c in ms.conditions):
+        gens = _exact_pullback_generators(src, ms.conditions, coeffs)
+        note = "pullback generators: exact congruence lattice per source cone"
+    else:
+        W = _box_bound(ms, coeffs)
+        gens = _box_generators(src, pulled_back_set(ms, coeffs), W)
+        note = f"pullback enumeration bound W={W}"
+    src_pair = ToricPair(src, _any_set(len(src.rays)))
+    return _invariants_from_gens(src_pair, gens, notes=(note,))
+
+
+def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
+    """phi of admissible vectors generating N_{f*M} as a lattice and cone(N^+).
+
+    On a source cone tau only the rays in S_tau (those hitting no row that
+    forbids positive finite values) may be nonzero.  The admissible vectors on
+    S_tau are the lattice L_tau cut out by the Darmon congruences, less those
+    below a Campana bound.  K e_beta and K 1_S + b, for b in a basis of L_tau,
+    are admissible (K is a multiple of every Darmon m, and K - max|b| is at
+    least every finite Campana m); they generate L_tau and span the orthant.
+    """
+    camp = max((c.m for c in conds if c.kind is Kind.CAMPANA and c.m != INF), default=0)
+    congr = [(row, c.m) for row, c in zip(coeffs, conds)
+             if c.kind in (Kind.DARMON, Kind.STRICT_DARMON) and c.m != INF and c.m > 1]
+    gens = set()
+    for tau in src.max_cones:
+        S = [b for b in tau
+             if all(cd.finite_part_unbounded() for row, cd in zip(coeffs, conds) if row[b] > 0)]
+        if not S:
+            continue
+        rows = [([row[b] for b in S], m) for row, m in congr if any(row[b] for b in S)]
+        r = len(rows)
+        # w is in L_tau iff (0, w) lies in the lattice spanned by the
+        # (C e_beta, e_beta) and (m_alpha e_alpha, 0); the HNF is echelon, so
+        # its basis vectors vanishing on the first r coordinates span those
+        lift = [tuple(c[k] for c, _ in rows) + tuple(int(j == k) for j in range(len(S)))
+                for k in range(len(S))]
+        lift += [tuple(m * int(j == i) for j in range(r)) + (0,) * len(S)
+                 for i, (_, m) in enumerate(rows)]
+        basis = [v[r:] for v in lattice_from_generators(lift, r + len(S)).basis
+                 if not any(v[:r])]
+        K = math.lcm(*[m for _, m in rows]) * (camp + max(abs(x) for v in basis for x in v))
+        vecs = [[K * int(j == k) for j in range(len(S))] for k in range(len(S))]
+        vecs += [[K + x for x in v] for v in basis]
+        for v in vecs:
+            w = [0] * len(src.rays)
+            for b, x in zip(S, v):
+                w[b] = x
+            gens.add(_phi(src, w))
+    return sorted(gens)
+
+
+def _box_bound(ms: MultiplicitySet, coeffs) -> int:
+    """W = lcm(finite multiplicities) * (1 + max coefficient)."""
     finite_mults = []
     if ms.variant is Variant.PRODUCT:
         for cond in ms.conditions:
@@ -398,9 +453,11 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap,
     else:
         finite_mults.extend(x for v in ms.vectors for x in v if x not in (0, INF))
     maxc = max((c for row in coeffs for c in row), default=0)
-    W = math.lcm(*[int(x) for x in finite_mults]) * (1 + maxc) if finite_mults else (1 + maxc)
+    return math.lcm(*[int(x) for x in finite_mults]) * (1 + maxc) if finite_mults else (1 + maxc)
 
-    admits_vec = pulled_back_set(ms, coeffs)
+
+def _box_generators(src: Fan, admits_vec, W: int) -> list:
+    """phi of the admissible vectors on each source cone with entries <= W."""
     gens = set()
     for c in src.max_cones:
         for vals in _iter_product(range(W + 1), repeat=len(c)):
@@ -411,10 +468,7 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap,
                 w[i] = x
             if admits_vec(w):
                 gens.add(_phi(src, w))
-    gens = sorted(g for g in gens if any(g))
-    src_pair = ToricPair(src, _any_set(len(src.rays)))
-    return _invariants_from_gens(src_pair, gens,
-                                 notes=(f"pullback enumeration bound W={W}",))
+    return sorted(g for g in gens if any(g))
 
 
 def _any_set(n: int) -> MultiplicitySet:

@@ -410,11 +410,13 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=256)
 def inverse_image_coefficients(r: RefinementMap, i: int):
     """Coefficients of f^-1 D_i on the source divisors, or a NotPrincipal value.
 
     Cartier targets are handled by evaluating the support covectors; otherwise a
     bounded box search certifies the monomial-ideal pullback minima per source cone.
+    Refinements are frozen, so the result is cached per (refinement, divisor).
     """
     tgt, src = r.target, r.source
     if not is_smooth(src):

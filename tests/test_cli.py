@@ -4,7 +4,7 @@ import time
 import pytest
 
 from toricapprox.cli import main, parse_fan
-from toricapprox.fan import hirzebruch, projective_space
+from toricapprox.fan import hirzebruch, inverse_image_coefficients, projective_space
 from toricapprox.points import _factorize_cached
 
 
@@ -180,12 +180,16 @@ BIG_N = 1000000007 * 1000000009
       '{"dim":2,"rays":[[1,0],[0,1],[1,1]],"max_cones":[[0,1],[1,2]]}'], (2,), ""),
     (["analyze", "--darmon", "2,3", "--fan",
       '{"dim":2,"rays":[[1,0],[0,1]],"max_cones":[[0,5]]}'], (2,), ""),
+    # singular fans: Campana and Darmon conditions pulled back to the resolution
+    (["analyze", "--fan", "p11r:3", "--campana", "2,3,7"], (0,), ""),
+    (["decide", "m-approx", "--fan", "p11r:3", "--darmon", "2,3,7"], (0,), "YES"),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a
-    primality, divisor or root loop hang, overflow or raise: each ends in
-    seconds with an answer or a defect/input exit code."""
+    primality, divisor, root or pullback loop hang, overflow or raise: each
+    ends in seconds with an answer or a defect/input exit code."""
     _factorize_cached.cache_clear()
+    inverse_image_coefficients.cache_clear()
     start = time.perf_counter()
     rc, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5

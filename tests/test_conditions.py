@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricapprox import conditions as conditions_module
+from toricapprox import fan as fan_module
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -15,12 +17,17 @@ from toricapprox.conditions import (
     nm_generators,
     nm_singular,
     pair_invariants,
+    pulled_back_set,
     support_is_conical,
+    _box_bound,
+    _box_generators,
+    _invariants_from_gens,
 )
 from toricapprox.fan import (
     Fan,
     hirzebruch,
     identity_refinement,
+    inverse_image_coefficients,
     projective_space,
     resolve_2d,
     stellar_subdivide,
@@ -114,7 +121,54 @@ def test_nm_singular_p112_radical(m):
     pair = ToricPair(weighted_P11r(2), darmon(list(m)))
     inv = nm_singular(pair, resolve_2d(weighted_P11r(2)))
     assert radical(inv.index) == radical(math.gcd(m[0], m[1]))
+    assert inv.notes == ("pullback generators: exact congruence lattice per source cone",)
+
+
+def test_nm_singular_squarefree_keeps_the_box_search():
+    ms = MultiplicitySet.of([DivisorCondition(Kind.SQUAREFREE)] * 3)
+    inv = nm_singular(ToricPair(weighted_P11r(2), ms), resolve_2d(weighted_P11r(2)))
     assert any("W=" in note for note in inv.notes)
+
+
+_REFINED = [resolve_2d(weighted_P11r(r)) for r in range(1, 6)] + \
+    [identity_refinement(hirzebruch(r)) for r in range(4)]
+# every finite multiplicity divides 12, so the box oracle's W stays <= 24
+_EXACT_CONDS = st.one_of(
+    st.sampled_from([DivisorCondition(Kind.ANY), DivisorCondition(Kind.INTEGRAL)]),
+    st.builds(DivisorCondition, st.just(Kind.CAMPANA), st.sampled_from([1, 2, 3, INF])),
+    st.builds(DivisorCondition, st.sampled_from([Kind.DARMON, Kind.STRICT_DARMON]),
+              st.sampled_from([1, 2, 3, 4, 6, INF])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref=st.sampled_from(_REFINED), data=st.data())
+def test_exact_pullback_matches_the_box_search(ref, data):
+    conds = data.draw(st.lists(_EXACT_CONDS, min_size=len(ref.target.rays),
+                               max_size=len(ref.target.rays)))
+    pair = ToricPair(ref.target, MultiplicitySet.of(conds))
+    exact = nm_singular(pair, ref)
+    coeffs = [inverse_image_coefficients(ref, a) for a in range(len(conds))]
+    box = _box_generators(ref.source, pulled_back_set(pair.conditions, coeffs),
+                          _box_bound(pair.conditions, coeffs))
+    n = len(ref.source.rays)
+    src_pair = ToricPair(ref.source, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * n))
+    oracle = _invariants_from_gens(src_pair, box)
+    assert exact.index == oracle.index
+    assert exact.quotient == oracle.quotient
+    assert exact.cone_full == oracle.cone_full
+
+
+def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):
+    pair = ToricPair(weighted_P11r(3), darmon([2, 3, 7]))
+    first = nm_singular(pair, resolve_2d(weighted_P11r(3)))
+    calls = []
+    for mod, name in ((fan_module, "cartier_data"), (conditions_module, "_box_generators")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    second = nm_singular(pair, resolve_2d(weighted_P11r(3)))
+    assert calls == []
+    assert second == first
 
 
 def test_nm_singular_identity_refinement_matches_smooth_path():
