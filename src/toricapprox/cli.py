@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error
 (including a fan JSON that fails fan_validate), 3 computational defect (scan
 cap, retries, non-principal pullback, oversized factorization, a failed
-internal assertion or an arithmetic error).
+internal assertion, an arithmetic error or exhausted memory).
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .decide import (
 from .enumerate import census_to_csv, crosscheck, enumerate_projective, enumerate_toric
 from .fan import Fan, fan_validate, hirzebruch, product, projective_space, weighted_P11r
 from .fields import FieldDescriptor, field_from_json, rho_of
-from .points import CoxPoint, FactorizationError, is_m_point
+from .points import CoxPoint, FactorizationError, is_m_point, is_prime
 from .intlat import INF
 
 
@@ -91,7 +91,7 @@ def parse_conditions(args, n_rays: int) -> MultiplicitySet:
     if args.cond:
         try:
             return conditions_from_json(_load_json_arg(args.cond))
-        except (OSError, json.JSONDecodeError, ValueError) as e:
+        except (OSError, ValueError, TypeError, AttributeError) as e:
             raise InputError(f"cannot read conditions: {e}")
     raise InputError("supply --cond, --darmon or --campana")
 
@@ -103,6 +103,30 @@ def parse_field(arg) -> FieldDescriptor:
         return field_from_json(_load_json_arg(arg))
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"cannot read field descriptor: {e}")
+
+
+def parse_point(fan: Fan, arg: str) -> CoxPoint:
+    """A point {"coords": [...]} given as JSON (inline or path)."""
+    obj = _load_json_arg(arg)
+    try:
+        return CoxPoint.from_json(fan, obj)
+    except (TypeError, AttributeError, ArithmeticError) as e:
+        raise InputError(f"cannot read point: {e}")
+
+
+def parse_targets(fan: Fan, arg: str) -> dict:
+    """{"p": {"point": {"coords": [...]}, "digits": k}, ...} as {p: (point, k)}."""
+    raw = _load_json_arg(arg)
+    try:
+        targets = {int(p): (CoxPoint.from_json(fan, spec["point"]),
+                            int(spec.get("digits", 1)))
+                   for p, spec in raw.items()}
+    except (TypeError, AttributeError, ArithmeticError) as e:
+        raise InputError(f"cannot read targets: {e}")
+    for p in targets:
+        if not is_prime(p):
+            raise InputError(f"target keys must be primes, got {p}")
+    return targets
 
 
 def _emit_verdict(v: Verdict, args) -> int:
@@ -200,8 +224,7 @@ def cmd_pi1(args) -> int:
 def cmd_check_point(args) -> int:
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
-    obj = _load_json_arg(args.point)
-    P = CoxPoint.from_json(fan, obj)
+    P = parse_point(fan, args.point)
     excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
     w = is_m_point(pair, P, excluded_primes=excluded)
     if args.json:
@@ -222,12 +245,7 @@ def cmd_check_point(args) -> int:
 def cmd_approximate(args) -> int:
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
-    raw = _load_json_arg(args.targets)
-    targets = {}
-    for p, spec in raw.items():
-        targets[int(p)] = (CoxPoint.from_json(fan, spec["point"]),
-                           int(spec.get("digits", 1)))
-    cert = m_point_approximate(pair, targets)
+    cert = m_point_approximate(pair, parse_targets(fan, args.targets))
     if args.json:
         print(json.dumps(cert.to_json(), indent=2))
     else:
@@ -421,7 +439,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScanCapExhausted, RetriesExhausted, NotPrincipalError,
-            FactorizationError, AssertionError, ArithmeticError) as e:
+            FactorizationError, AssertionError, ArithmeticError, MemoryError) as e:
         print(f"computational defect: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as e:

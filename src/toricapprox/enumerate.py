@@ -10,6 +10,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iter_product
 from math import gcd
 from typing import Optional
@@ -74,9 +75,10 @@ def enumerate_projective(pair: ToricPair, H: int, keep_points: bool = True) -> C
     return Census(pair, H, len(found), tuple(found) if keep_points else None)
 
 
-def _sign_group(fan) -> list:
+@lru_cache(maxsize=256)
+def _sign_group(fan) -> tuple:
     """The sign vectors of the relation torus: (-1)^k for k in the kernel of
-    the ray matrix, taken mod 2."""
+    the ray matrix, taken mod 2.  Cached per fan."""
     basis = [tuple(k % 2 for k in kb) for kb in torus_kernel_basis(fan)]
     n = len(fan.rays)
     group = {tuple(0 for _ in range(n))}
@@ -88,7 +90,7 @@ def _sign_group(fan) -> list:
             if h not in group:
                 group.add(h)
                 frontier.append(h)
-    return [tuple(-1 if x else 1 for x in g) for g in sorted(group)]
+    return tuple(tuple(-1 if x else 1 for x in g) for g in sorted(group))
 
 
 def canonical_interior(pair: ToricPair, P: CoxPoint) -> tuple:
@@ -121,7 +123,7 @@ def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census
         raise ValueError("canonicalization implemented for class group rank <= 2")
     n = len(fan.rays)
     seen = set()
-    vals = [x for x in range(-H, H + 1) if x != 0]
+    vals = [*range(-H, 0), *range(1, H + 1)]
     for tup in _iter_product(vals, repeat=n):
         P = CoxPoint.make(fan, tup)
         canon = canonical_interior(pair, P)

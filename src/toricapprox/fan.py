@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as _iter_product
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .intlat import (
@@ -253,25 +253,53 @@ def class_group(f: Fan) -> QuotientStructure:
 # Cone location and subdivision
 # ---------------------------------------------------------------------------
 
-def _cone_coords(f: Fan, cone, v):
-    """Rational coordinates of v on the (independent) rays of cone, or None."""
-    rays = f.cone_rays(cone)
-    A = [[rays[j][i] for j in range(len(rays))] for i in range(f.dim)]
-    x = solve_rational(A, list(v))
-    if x is None or any(xi < 0 for xi in x):
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=256)
+def _cone_inverses(f: Fan) -> tuple:
+    """Per maximal cone, in fan order, integer data (A, D, N) with D > 0.
+
+    A vector v lies in the span of the cone's rays iff N v = 0, and then its
+    coordinates on the rays are A v / D.  A / D is the left inverse
+    (R R^T)^-1 R of the ray matrix R (one ray per row), so it is the inverse
+    of R^T on a full-dimensional cone; N holds the nonzero rows of
+    R^T A - D I, which vanish there.
+    """
+    table = []
+    for c in f.max_cones:
+        R = f.cone_rays(c)
+        gram = [[_dot(r, s) for s in R] for r in R]
+        cols = [solve_rational(gram, [r[i] for r in R]) for i in range(f.dim)]
+        D = lcm(*(x.denominator for col in cols for x in col))
+        A = tuple(tuple(int(col[j] * D) for col in cols) for j in range(len(c)))
+        off_span = [tuple(sum(r[i] * a[l] for r, a in zip(R, A)) - (D if i == l else 0)
+                      for l in range(f.dim)) for i in range(f.dim)]
+        table.append((A, D, tuple(row for row in off_span if any(row))))
+    return tuple(table)
+
+
+def _cone_coords(inverse, v):
+    """Numerators over D of v's coordinates on a cone with table entry
+    inverse = (A, D, N), or None when v is outside the cone."""
+    A, _, N = inverse
+    if any(_dot(n, v) for n in N):
         return None
-    return x
+    x = tuple(_dot(a, v) for a in A)
+    return None if any(xi < 0 for xi in x) else x
 
 
 def max_cone_coords(f: Fan, v: Sequence[int]):
-    """(cone, coordinates) of v on the first maximal cone containing it, or None.
+    """(cone, x, D) for the first maximal cone containing v, or None.
 
-    The coordinates are nonnegative Fractions, one per ray of the cone.
+    The coordinates of v on the rays of the cone are x_i / D, with integers
+    x_i >= 0 and D > 0 (D = 1 on a unimodular cone).
     """
-    for c in f.max_cones:
-        x = _cone_coords(f, c, v)
+    for c, inverse in zip(f.max_cones, _cone_inverses(f)):
+        x = _cone_coords(inverse, v)
         if x is not None:
-            return c, x
+            return c, x, inverse[1]
     return None
 
 
@@ -280,7 +308,7 @@ def minimal_cone_containing(f: Fan, v: Sequence[int]):
     if all(x == 0 for x in v):
         return ()
     hit = max_cone_coords(f, v)
-    return None if hit is None else tuple(i for i, xi in zip(*hit) if xi > 0)
+    return None if hit is None else tuple(i for i, xi in zip(hit[0], hit[1]) if xi > 0)
 
 
 def stellar_subdivide(f: Fan, new_ray: Sequence[int]) -> RefinementMap:
@@ -290,16 +318,14 @@ def stellar_subdivide(f: Fan, new_ray: Sequence[int]) -> RefinementMap:
         raise ValueError("new ray must be primitive")
     if v in f.rays:
         raise ValueError("vector is already a ray of the fan")
-    hits = []
-    for c in f.max_cones:
-        x = _cone_coords(f, c, v)
-        if x is not None:
-            hits.append((c, x))
+    coords = [(c, _cone_coords(inverse, v))
+              for c, inverse in zip(f.max_cones, _cone_inverses(f))]
+    hits = [(c, x) for c, x in coords if x is not None]
     if not hits:
         raise ValueError("new ray lies outside the support of the fan")
     rays = list(f.rays) + [v]
     vi = len(f.rays)
-    new_cones = [c for c in f.max_cones if _cone_coords(f, c, v) is None]
+    new_cones = [c for c, x in coords if x is None]
     for c, x in hits:
         for i, xi in zip(c, x):
             if xi > 0:
@@ -406,10 +432,6 @@ def cartier_data(f: Fan, i: int):
     return CartierData(i, tuple(covs))
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=256)
 def inverse_image_coefficients(r: RefinementMap, i: int):
     """Coefficients of f^-1 D_i on the source divisors, or a NotPrincipal value.
@@ -436,8 +458,8 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
     bound_used = 0
     for sc in src.max_cones:
         tc = None
-        for c in tgt.max_cones:
-            if all(_cone_coords(tgt, c, src.rays[j]) is not None for j in sc):
+        for c, inverse in zip(tgt.max_cones, _cone_inverses(tgt)):
+            if all(_cone_coords(inverse, src.rays[j]) is not None for j in sc):
                 tc = c
                 break
         if tc is None:

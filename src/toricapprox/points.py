@@ -216,12 +216,13 @@ def mult_at_prime(p: int, P: CoxPoint):
                          "(representative independence)")
     u = _phi(fan, [v_p(c, p) for c in P.coords])
     hit = max_cone_coords(fan, u)
-    if hit is None or any(x.denominator != 1 for x in hit[1]):
+    if hit is None or any(x % hit[2] for x in hit[1]):
         raise AssertionError(f"{u} has no integral coordinates on a maximal cone "
                              "of a smooth complete fan")
+    cone, x, D = hit
     out = [0] * len(fan.rays)
-    for i, x in zip(*hit):
-        out[i] = x.numerator
+    for i, xi in zip(cone, x):
+        out[i] = xi // D
     return tuple(out)
 
 

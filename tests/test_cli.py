@@ -1,9 +1,13 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricapprox.cli import main, parse_fan
+from toricapprox.conditions import Kind
 from toricapprox.fan import hirzebruch, inverse_image_coefficients, projective_space
 from toricapprox.points import _factorize_cached
 
@@ -183,6 +187,27 @@ BIG_N = 1000000007 * 1000000009
     # singular fans: Campana and Darmon conditions pulled back to the resolution
     (["analyze", "--fan", "p11r:3", "--campana", "2,3,7"], (0,), ""),
     (["decide", "m-approx", "--fan", "p11r:3", "--darmon", "2,3,7"], (0,), "YES"),
+    # JSON of the wrong shape for a point, targets or conditions
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point", '{"coords": 5}'],
+     (2,), ""),
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point", "[1,2,3]"], (2,), ""),
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+      '{"coords": [null,1,1]}'], (2,), ""),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets", "[1]"], (2,), ""),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets", '{"7": 5}'],
+     (2,), ""),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+      json.dumps({"7": {"point": {"coords": ["1", "2", "3"]}, "digits": None}})], (2,), ""),
+    (["analyze", "--fan", "p2", "--cond", "[5,5,5]"], (2,), ""),
+    # a zero denominator and a target key that is not a prime
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+      '{"coords": ["1/0", 1, 1]}'], (2,), ""),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+      json.dumps({"1": {"point": {"coords": ["1", "2", "3"]}, "digits": 1}})], (2,), ""),
+    # a census box too large to allocate
+    (["enumerate", "--fan", "p2", "--darmon", "2,2,2", "--height", str(10 ** 12)], (3,), ""),
+    (["enumerate", "--fan", "p1xp1", "--darmon", "2,2,2,2", "--interior", "--height",
+      str(10 ** 12)], (3,), ""),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a
@@ -196,3 +221,107 @@ def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
     assert rc in want_rc, err
     assert want_out in out
     assert "Traceback" not in err
+
+
+# CLI contract fuzz: well-formed commands with at most one malformed part, so
+# that every parse stage and the computations behind it are reached
+_SCALAR = (st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
+           | st.sampled_from(["", "inf", "2", "x", "1/2"]))
+_KEYS = st.sampled_from(["dim", "rays", "max_cones", "coords", "point", "digits",
+                         "type", "m", "values", "vectors", "7"])
+_JSON = st.recursive(_SCALAR, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(_KEYS, kids, max_size=3), max_leaves=8)
+_BUILTIN_RAYS = {"p1": 2, "p2": 3, "p1xp1": 4, "h:1": 4, "p11r:2": 3}
+_BAD_FAN = st.one_of(
+    st.sampled_from(["p0", "p11r:0", "h:-1", "h:x", "pq", "/nonexistent.json"]),
+    st.fixed_dictionaries({
+        "dim": st.integers(-1, 3) | _JSON,
+        "rays": st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=4) | _JSON,
+        "max_cones": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=4) | _JSON,
+    }).map(json.dumps),
+    _JSON.map(json.dumps))
+_TOKEN = st.sampled_from(["1", "2", "3", "inf"])
+_BAD_TOKEN = st.sampled_from(["0", "-1", "oo", "x", ""])
+_CONDITION = st.fixed_dictionaries({
+    "type": st.sampled_from([k.value for k in Kind]), "m": st.integers(1, 4),
+    "values": st.just([1, 2])})
+_BAD_CONDITION = st.fixed_dictionaries({
+    "type": st.sampled_from([k.value for k in Kind] + ["bogus"]) | _JSON,
+    "m": st.integers(-1, 4) | st.just("inf") | _JSON})
+_COORD = st.integers(-9, 9) | st.sampled_from(["1/2", "-4/9", "12"])
+_BAD_COORD = st.sampled_from(["x", "1/0"]) | _SCALAR
+
+
+def _conds(n, bad):
+    token = _BAD_TOKEN | _TOKEN if bad else _TOKEN
+    mults = st.lists(token, min_size=n, max_size=n)
+    if bad:
+        mults |= st.lists(_TOKEN, max_size=5)
+    cond_json = st.lists(_BAD_CONDITION if bad else _CONDITION, min_size=n, max_size=n)
+    if bad:
+        cond_json |= st.fixed_dictionaries({
+            "type": st.sampled_from(["custom", "weak_campana"]),
+            "vectors": _JSON, "m": _JSON}) | _JSON
+    options = [mults.map(lambda t: ["--darmon=" + ",".join(t)]),
+               mults.map(lambda t: ["--campana=" + ",".join(t)]),
+               cond_json.map(lambda o: ["--cond=" + json.dumps(o)])]
+    return st.one_of(options + [st.just([])] if bad else options)
+
+
+def _point(n, bad):
+    if not bad:
+        return st.fixed_dictionaries({"coords": st.lists(_COORD, min_size=n, max_size=n)})
+    coords = st.lists(_BAD_COORD | _COORD, min_size=n, max_size=n) | _JSON
+    return st.fixed_dictionaries({"coords": coords}) | _JSON
+
+
+def _targets(n, bad):
+    prime = st.sampled_from(["2", "3", "7"])
+    digits = st.integers(1, 2)
+    if bad:
+        prime |= st.sampled_from(["4", "1", "0", "-3", "x"])
+        digits |= st.none() | st.integers(-1, 0) | st.just("2")
+    spec = st.fixed_dictionaries({"point": _point(n, bad), "digits": digits})
+    targets = st.dictionaries(prime, spec | _JSON if bad else spec, max_size=2)
+    return targets | _JSON if bad else targets
+
+
+@st.composite
+def _malformed_argv(draw):
+    """A command in which at most one of the fan, the conditions and the
+    point or targets is malformed."""
+    cmd = draw(st.sampled_from(["validate", "analyze", "decide", "check-point",
+                                "approximate", "enumerate", "crosscheck"]))
+    broken = draw(st.sampled_from(["none", "fan", "conds", "payload"]))
+    argv = [cmd]
+    if cmd == "decide":
+        argv.append(draw(st.sampled_from(["m-approx", "integral", "thinness", "hilbert"])))
+    fan = draw(_BAD_FAN if broken == "fan" else st.sampled_from(sorted(_BUILTIN_RAYS)))
+    n = _BUILTIN_RAYS.get(fan, 3)
+    argv += ["--fan=" + fan] + draw(_conds(n, broken == "conds"))
+    if cmd == "check-point":
+        argv.append("--point=" + json.dumps(draw(_point(n, broken == "payload"))))
+    elif cmd == "approximate":
+        argv.append("--targets=" + json.dumps(draw(_targets(n, broken == "payload"))))
+    elif cmd in ("enumerate", "crosscheck"):
+        argv.append(f"--height={draw(st.integers(-1, 2))}")
+        if cmd == "enumerate" and draw(st.booleans()):
+            argv.append("--interior")
+    if cmd in ("decide", "check-point") and draw(st.booleans()):
+        argv.append("--assert")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_malformed_argv())
+def test_cli_contract_on_malformed_inputs(argv):
+    """Every input ends in an answer (0), a NO under --assert (1), an input
+    error (2) or a computational defect (3); no exception escapes main."""
+    _factorize_cached.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    if rc == 1:
+        assert "--assert" in argv, (argv, out.getvalue())
+        assert ": NO" in out.getvalue() or "M-point: no" in out.getvalue(), argv

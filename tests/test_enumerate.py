@@ -14,6 +14,7 @@ from toricapprox.conditions import (
 )
 from toricapprox.enumerate import (
     Census,
+    _sign_group,
     canonical_interior,
     census_to_csv,
     census_to_json,
@@ -22,7 +23,13 @@ from toricapprox.enumerate import (
     enumerate_toric,
 )
 from toricapprox.fan import hirzebruch, product as fan_product, projective_space, weighted_P11r
-from toricapprox.points import CoxPoint, is_m_full, is_m_point, is_perfect_power
+from toricapprox.points import (
+    CoxPoint,
+    is_m_full,
+    is_m_point,
+    is_perfect_power,
+    torus_kernel_basis,
+)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -132,3 +139,17 @@ def test_emitters():
     lines = text.strip().splitlines()
     assert lines[0] == "a0,a1,is_m_point"
     assert len(lines) == census.count + 1
+
+
+@pytest.mark.parametrize("fan", [projective_space(n) for n in (1, 2, 3)]
+                         + [fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)])
+def test_sign_group_is_cached_per_fan(fan):
+    basis = torus_kernel_basis(fan)
+    fresh = set()
+    for picks in product((0, 1), repeat=len(basis)):
+        k = [sum(c * b[i] for c, b in zip(picks, basis)) for i in range(len(fan.rays))]
+        fresh.add(tuple(1 - 2 * (x % 2) for x in k))
+    group = _sign_group(fan)
+    assert isinstance(group, tuple) and all(isinstance(s, tuple) for s in group)
+    assert sorted(group) == sorted(fresh) and len(group) == len(fresh)
+    assert _sign_group(fan) is group

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toricapprox.intlat import solve_rational
 from toricapprox.fan import (
     Fan,
     NotPrincipal,
@@ -13,6 +16,7 @@ from toricapprox.fan import (
     inverse_image_coefficients,
     is_complete,
     is_smooth,
+    max_cone_coords,
     minimal_cone_containing,
     product,
     projective_space,
@@ -126,3 +130,68 @@ def test_json_roundtrip():
     f = hirzebruch(1)
     g = Fan.from_json_obj(json.loads(f.to_json()))
     assert f == g
+
+
+ORACLE_FANS = ([projective_space(n) for n in (1, 2, 3)]
+               + [product(projective_space(1), projective_space(1))]
+               + [hirzebruch(r) for r in range(4)]
+               + [weighted_P11r(r) for r in range(1, 6)])
+
+
+def _oracle_cone_coords(f, v):
+    """(cone, Fraction coordinates) on the first maximal cone containing v,
+    from a fresh exact solve per cone, or None."""
+    for c in f.max_cones:
+        rays = f.cone_rays(c)
+        x = solve_rational([[r[i] for r in rays] for i in range(f.dim)], list(v))
+        if x is not None and all(xi >= 0 for xi in x):
+            return c, x
+    return None
+
+
+@st.composite
+def _fans_and_vectors(draw):
+    """A fan from ORACLE_FANS, or one with some maximal cones dropped or cut
+    to a facet (cones with fewer than d rays, vectors outside the support),
+    and a vector inside a cone, on a wall, or anywhere in a small box."""
+    f = draw(st.sampled_from(ORACLE_FANS))
+    if draw(st.booleans()):
+        cones = []
+        for c in f.max_cones:
+            keep = draw(st.sampled_from(["keep", "drop", "facet"]))
+            if keep == "facet" and len(c) > 1:
+                skip = draw(st.integers(0, len(c) - 1))
+                cones.append(c[:skip] + c[skip + 1:])
+            elif keep != "drop":
+                cones.append(c)
+        f = Fan.make(f.dim, f.rays, cones)
+    box = st.lists(st.integers(-6, 6), min_size=f.dim, max_size=f.dim)
+    if f.max_cones and draw(st.booleans()):
+        c = draw(st.sampled_from(f.max_cones))
+        coeffs = draw(st.lists(st.integers(0, 4), min_size=len(c), max_size=len(c)))
+        v = [sum(a * f.rays[i][j] for a, i in zip(coeffs, c)) for j in range(f.dim)]
+        if draw(st.booleans()):  # push it off the cone's span or across a wall
+            v = [x + y for x, y in zip(v, draw(box))]
+    else:
+        v = draw(box)
+    return f, tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fans_and_vectors())
+def test_cone_coordinates_match_the_exact_solver(fv):
+    f, v = fv
+    want = _oracle_cone_coords(f, v)
+    hit = max_cone_coords(f, v)
+    if want is None:
+        assert hit is None
+    else:
+        cone, x, D = hit
+        assert D > 0
+        assert (cone, [Fraction(xi, D) for xi in x]) == want
+    if all(x == 0 for x in v):
+        want_min = ()
+    else:
+        want_min = None if want is None else tuple(
+            i for i, xi in zip(*want) if xi > 0)
+    assert minimal_cone_containing(f, v) == want_min

@@ -15,7 +15,7 @@ from toricapprox.conditions import (
     darmon,
 )
 from toricapprox.decide import _divisors_gt1
-from toricapprox import intlat
+from toricapprox import fan as fan_module, intlat
 from toricapprox.fan import (
     hirzebruch,
     minimal_cone_containing,
@@ -274,11 +274,12 @@ def test_mult_at_prime_matches_the_two_step_path(fan, data):
 def test_mult_at_prime_runs_no_normal_form_on_a_checked_fan(monkeypatch):
     h3 = hirzebruch(3)
     P = CoxPoint.make(h3, [Fraction(12, 5), 9, Fraction(1, 8), 25])
-    mult_at_prime(2, P)  # checks the fan once
+    mult_at_prime(2, P)  # checks the fan and builds its cone table once
     calls = []
-    for name in ("hnf", "snf"):
-        fn = getattr(intlat, name)
-        monkeypatch.setattr(intlat, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    for mod, name in ((intlat, "hnf"), (intlat, "snf"), (intlat, "solve_rational"),
+                      (fan_module, "solve_rational")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
     for p in (2, 3, 5):
         mult_at_prime(p, P)
     assert calls == []
