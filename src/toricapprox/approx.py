@@ -16,7 +16,8 @@ from typing import Sequence
 from .conditions import ToricPair, Variant, _phi
 from .fan import is_complete, is_smooth
 from .intlat import right_inverse
-from .points import CoxPoint, MPointWitness, factorize, is_m_point, is_squarefree, mult_at_prime, v_p
+from .points import (CoxPoint, MPointWitness, factorize, is_m_point, is_squarefree,
+                     multiplicity_vectors, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
 
@@ -265,13 +266,12 @@ def m_point_approximate(pair: ToricPair, targets: dict,
             if c.denominator > 1:
                 s_prime |= set(factorize(c.denominator))
         s_prime = tuple(sorted(s_prime))
-        witness = is_m_point(pair, point, excluded_primes=s_prime)
+        mults = multiplicity_vectors(point, s_prime)
+        witness = is_m_point(pair, point, s_prime, mults)
         closeness = tuple(
             (p, targets[p][1],
              _closeness_valuation(pair, p, coords, targets[p][0].coords))
             for p in primes)
-        mults = tuple((p, mult_at_prime(p, point))
-                      for p in point.support_primes() if p not in s_prime)
         cert = ApproxCertificate(point, closeness, mults, s_prime, witness)
         if cert.verified():
             return cert

@@ -23,7 +23,7 @@ from .conditions import (
     nm_singular,
     pair_invariants,
 )
-from .fan import Fan, RefinementMap, is_complete, is_smooth, resolve_2d
+from .fan import Fan, RefinementMap, is_smooth, resolve_2d
 from .fields import (
     FieldDescriptor,
     FieldFlags,
@@ -313,15 +313,6 @@ def classify_thinness(pair: ToricPair, field: FieldDescriptor,
     return ThinnessReport(cls, d_list, dense, tuple(reasons), inv)
 
 
-def _gcd_ext(values) -> object:
-    """gcd over naturals and infinity: infinite entries are dropped; gcd of an
-    all-infinite list is 0."""
-    fin = [v for v in values if v != INF]
-    if not fin:
-        return 0
-    return math.gcd(*fin)
-
-
 def darmon_projective_closed_form(n: int, m: Sequence, rho: RhoSpec,
                                   T_nonempty: bool) -> Verdict:
     """M-approximation for Darmon conditions on projective (n-1)-space, decided
@@ -331,7 +322,8 @@ def darmon_projective_closed_form(n: int, m: Sequence, rho: RhoSpec,
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
-            g = _gcd_ext((m[i], m[j]))
+            # infinite entries drop out; the gcd of none is 0
+            g = math.gcd(*(x for x in (m[i], m[j]) if x != INF))
             if g == 0 or not rho_contains(rho, g):
                 bad.append((i, j, g))
     if T_nonempty:
@@ -353,33 +345,3 @@ def darmon_projective_closed_form(n: int, m: Sequence, rho: RhoSpec,
     if infinite:
         why.append(f"m_{infinite[0]} is infinite, excluded at the full place set")
     return Verdict("m_approximation_closed_form", Holds.NO, tuple(why))
-
-
-def sigma_max_sufficient(pair: ToricPair, rho: RhoSpec) -> bool:
-    """One-directional criterion: gcd over maximal cones of the products of the
-    multiplicities on each cone's rays lies in rho."""
-    fan = pair.fan
-    if not is_smooth(fan) or not is_complete(fan):
-        raise ValueError("criterion stated for smooth complete fans")
-    ms = pair.conditions
-    if ms.variant is not Variant.PRODUCT:
-        raise ValueError("requires per-divisor multiplicities")
-    mults = []
-    for cond in ms.conditions:
-        if cond.kind in (Kind.DARMON, Kind.STRICT_DARMON, Kind.CAMPANA):
-            mults.append(cond.m)
-        elif cond.kind in (Kind.ANY, Kind.SQUAREFREE):
-            mults.append(1)
-        else:
-            raise ValueError(f"unsupported condition: {cond.kind.value}")
-    products = []
-    for c in fan.max_cones:
-        p = 1
-        for i in c:
-            if mults[i] == INF:
-                p = INF
-                break
-            p *= mults[i]
-        products.append(p)
-    g = _gcd_ext(products)
-    return g != 0 and rho_contains(rho, g)

@@ -24,7 +24,7 @@ from .points import (
     is_m_point,
     is_perfect_power,
     is_squarefree,
-    mult_at_prime,
+    multiplicity_vectors,
     torus_kernel_basis,
     _is_projective_space,
 )
@@ -93,13 +93,13 @@ def _sign_group(fan) -> tuple:
     return tuple(tuple(-1 if x else 1 for x in g) for g in sorted(group))
 
 
-def canonical_interior(pair: ToricPair, P: CoxPoint) -> tuple:
-    """Canonical orbit representative of an interior point: per-prime
-    multiplicity magnitudes, then the minimal sign pattern."""
+def canonical_interior(pair: ToricPair, P: CoxPoint, vectors: tuple) -> tuple:
+    """Canonical orbit representative of an interior point from its
+    multiplicity_vectors(P): per-prime multiplicity magnitudes, then the
+    minimal sign pattern."""
     fan = pair.fan
     mags = [1] * len(fan.rays)
-    for p in P.support_primes():
-        mv = mult_at_prime(p, P)
+    for p, mv in vectors:
         for i, e in enumerate(mv):
             mags[i] *= p ** e
     signs = [1 if c > 0 else -1 for c in P.coords]
@@ -126,10 +126,11 @@ def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census
     vals = [*range(-H, 0), *range(1, H + 1)]
     for tup in _iter_product(vals, repeat=n):
         P = CoxPoint.make(fan, tup)
-        canon = canonical_interior(pair, P)
+        vectors = multiplicity_vectors(P)
+        canon = canonical_interior(pair, P, vectors)
         if canon in seen:
             continue
-        if is_m_point(pair, P).ok:
+        if is_m_point(pair, P, vectors=vectors).ok:
             seen.add(canon)
     pts = tuple(sorted(seen))
     return Census(pair, H, len(pts), pts if keep_points else None)
@@ -172,6 +173,8 @@ def _oracle_admits(cond, a: int) -> bool:
 def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
     """Compare is_m_point with the coordinatewise arithmetic oracle on the
     whole coprime box of height H."""
+    if H < 1:
+        raise ValueError("height bound must be at least 1")
     fan = pair.fan
     if not _is_projective_space(fan):
         raise ValueError("crosscheck runs on projective space")

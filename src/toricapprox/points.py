@@ -130,7 +130,9 @@ def _factorize_cached(n: int) -> tuple:
 
 
 def v_p(x, p: int) -> int:
-    """p-adic valuation of a nonzero integer or rational."""
+    """p-adic valuation of a nonzero integer or rational at a prime p."""
+    if p < 2:
+        raise ValueError(f"valuation at {p} requested; p must be a prime")
     if x == 0:
         raise ValueError("valuation of 0 requested")
     v = 0
@@ -171,15 +173,6 @@ class CoxPoint:
 
     def zero_support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c == 0)
-
-    def support_primes(self) -> tuple:
-        """Primes dividing some numerator or denominator of the coordinates."""
-        primes = set()
-        for c in self.coords:
-            if c != 0:
-                primes |= set(factorize(c.numerator).keys()) if abs(c.numerator) > 1 else set()
-                primes |= set(factorize(c.denominator).keys()) if c.denominator > 1 else set()
-        return tuple(sorted(primes))
 
 
 def _is_projective_space(fan: Fan) -> bool:
@@ -226,12 +219,42 @@ def mult_at_prime(p: int, P: CoxPoint):
     return tuple(out)
 
 
-def phi_v(p: int, P: CoxPoint) -> tuple:
-    """The cocharacter sum of valuations: representative-independent image of
-    the multiplicity vector."""
-    if P.zero_support():
-        raise ValueError("phi_v needs all-nonzero coordinates")
-    return _phi(P.fan, [v_p(c, p) for c in P.coords])
+@lru_cache(maxsize=256)
+def _mult_memo(fan: Fan) -> dict:
+    """The interior multiplicity vectors found on one fan, keyed by valuation
+    vector: on a smooth complete fan the vector depends on the valuations
+    alone.  Only mult_at_prime adds entries, so a fan it rejects gets none."""
+    return {}
+
+
+def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
+    """((p, multiplicity vector), ...) over the primes not in skip that divide
+    some numerator or denominator of the coordinates, ascending.  Each
+    numerator and denominator is factored once.  At an interior point, a
+    valuation vector not yet seen on the fan goes through mult_at_prime; a
+    boundary point's vectors come from mult_at_prime, which reads them off the
+    coprime integer representative."""
+    n = len(P.coords)
+    vals = {}
+    for i, c in enumerate(P.coords):
+        for part, sign in ((c.numerator, 1), (c.denominator, -1)):
+            if part not in (1, -1, 0):
+                for p, e in factorize(part).items():
+                    if p not in vals:
+                        vals[p] = [0] * n
+                    vals[p][i] = sign * e
+    primes = [p for p in sorted(vals) if p not in skip]
+    if not all(P.coords):
+        return tuple((p, mult_at_prime(p, P)) for p in primes)
+    memo = _mult_memo(P.fan)
+    out = []
+    for p in primes:
+        key = tuple(vals[p])
+        mv = memo.get(key)
+        if mv is None:
+            mv = memo[key] = mult_at_prime(p, P)
+        out.append((p, mv))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -241,11 +264,13 @@ class MPointWitness:
     vector: Optional[tuple] = None
 
 
-def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitness:
-    """Whether every per-prime multiplicity vector outside S is admissible."""
+def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=(),
+               vectors=None) -> MPointWitness:
+    """Whether the multiplicity vector at every prime outside excluded_primes
+    is admissible.  A caller that already holds
+    multiplicity_vectors(P, excluded_primes) passes them as vectors."""
     if P.fan != pair.fan:
         raise ValueError("point and pair live on different fans")
-    S = set(excluded_primes)
     zeros = P.zero_support()
     if zeros:
         # the generic vector (infinity at the vanishing divisors, zero elsewhere)
@@ -253,10 +278,9 @@ def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitnes
         generic = tuple(INF if i in zeros else 0 for i in range(len(P.coords)))
         if not pair.conditions.admits_vector(generic):
             return MPointWitness(False, None, generic)
-    for p in P.support_primes():
-        if p in S:
-            continue
-        mv = mult_at_prime(p, P)
+    if vectors is None:
+        vectors = multiplicity_vectors(P, excluded_primes)
+    for p, mv in vectors:
         if not pair.conditions.admits_vector(mv):
             return MPointWitness(False, p, mv)
     return MPointWitness(True)
@@ -306,7 +330,7 @@ def is_squarefree(n: int) -> bool:
 
 def torus_kernel_basis(fan: Fan) -> list:
     """Integer basis of the exponent vectors k with sum_i k_i n_i = 0: the
-    rescalings t_i = s^{k_i} act trivially on phi_v."""
+    rescalings t_i = s^{k_i} leave the cocharacter sum of valuations unchanged."""
     dec = snf(tuple(zip(*fan.rays)))  # d x n, one column per ray
     vc = tuple(zip(*dec.V))
     return list(vc[len(dec.invariant_factors()):])

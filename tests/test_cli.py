@@ -208,6 +208,9 @@ BIG_N = 1000000007 * 1000000009
     (["enumerate", "--fan", "p2", "--darmon", "2,2,2", "--height", str(10 ** 12)], (3,), ""),
     (["enumerate", "--fan", "p1xp1", "--darmon", "2,2,2,2", "--interior", "--height",
       str(10 ** 12)], (3,), ""),
+    # a crosscheck over an empty box
+    (["crosscheck", "--fan", "p2", "--darmon", "2,2,2", "--height", "0"], (2,), ""),
+    (["crosscheck", "--fan", "p2", "--darmon", "2,2,2", "--height", "-3"], (2,), ""),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a

@@ -21,7 +21,6 @@ from toricapprox.decide import (
     decide_strong_approx,
     integral_any_pair,
     pi1_root_stack,
-    sigma_max_sufficient,
 )
 from toricapprox.fan import hirzebruch, projective_space, weighted_P11r
 from toricapprox.fields import (
@@ -30,6 +29,7 @@ from toricapprox.fields import (
     FieldFlags,
     TriBool,
     default_flags,
+    rho_contains,
     rho_of,
 )
 from toricapprox.intlat import INF
@@ -141,6 +141,17 @@ def test_closed_form_examples():
     assert darmon_projective_closed_form(3, (2, 3, INF), rho, False).holds is Holds.NO
     assert darmon_projective_closed_form(2, (2, 4), rho, True).holds is Holds.NO
     assert darmon_projective_closed_form(2, (INF, INF), rho, True).holds is Holds.NO
+
+
+def sigma_max_sufficient(pair: ToricPair, rho) -> bool:
+    """One-directional criterion on a smooth complete fan (a test oracle): the
+    gcd over maximal cones of the products of the multiplicities on each
+    cone's rays lies in rho.  An infinite product drops out of the gcd."""
+    mults = [cond.m if cond.kind in (Kind.DARMON, Kind.STRICT_DARMON, Kind.CAMPANA) else 1
+             for cond in pair.conditions.conditions]
+    products = [math.prod(mults[i] for i in c) for c in pair.fan.max_cones]
+    g = math.gcd(*(x for x in products if x != INF))
+    return g != 0 and rho_contains(rho, g)
 
 
 def test_sigma_max_examples():

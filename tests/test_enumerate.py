@@ -22,13 +22,17 @@ from toricapprox.enumerate import (
     enumerate_projective,
     enumerate_toric,
 )
+from toricapprox import enumerate as enumerate_module, points
 from toricapprox.fan import hirzebruch, product as fan_product, projective_space, weighted_P11r
 from toricapprox.points import (
     CoxPoint,
+    factorize,
     is_m_full,
     is_m_point,
     is_perfect_power,
+    multiplicity_vectors,
     torus_kernel_basis,
+    v_p,
 )
 
 P1 = projective_space(1)
@@ -93,8 +97,8 @@ def test_toric_census_h2_units():
     pair = ToricPair(hirzebruch(2), ms)
     census = enumerate_toric(pair, 1)
     # orbit oracle: partition the +-1 tuples by canonical representative
-    orbits = {canonical_interior(pair, CoxPoint.make(pair.fan, t))
-              for t in product([1, -1], repeat=4)}
+    pts = [CoxPoint.make(pair.fan, t) for t in product([1, -1], repeat=4)]
+    orbits = {canonical_interior(pair, P, multiplicity_vectors(P)) for P in pts}
     assert census.count == len(orbits) == 4
 
 
@@ -153,3 +157,46 @@ def test_sign_group_is_cached_per_fan(fan):
     assert isinstance(group, tuple) and all(isinstance(s, tuple) for s in group)
     assert sorted(group) == sorted(fresh) and len(group) == len(fresh)
     assert _sign_group(fan) is group
+
+
+def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
+    """One job reaches mult_at_prime once per distinct valuation vector in its
+    box, though canonical_interior and is_m_point both read every new orbit's
+    vectors."""
+    pair = ToricPair(fan_product(P1, P1), darmon([2, 3, 2, 3]))
+    H = 5
+    points._mult_memo.cache_clear()
+    seen = []
+    real = points.mult_at_prime
+
+    def counting(p, P):
+        seen.append(tuple(v_p(c, p) for c in P.coords))
+        return real(p, P)
+
+    monkeypatch.setattr(points, "mult_at_prime", counting)
+    enumerate_toric(pair, H)
+    vals = [*range(-H, 0), *range(1, H + 1)]
+    distinct = {tuple(v_p(a, p) for a in tup)
+                for tup in product(vals, repeat=4)
+                for p in {q for a in tup for q in factorize(a)}}
+    assert len(seen) == len(set(seen))
+    assert set(seen) == distinct
+
+
+@pytest.mark.parametrize("job", [
+    lambda: enumerate_toric(ToricPair(fan_product(P1, P1), campana([2, 2, 3, 3])), 6),
+    lambda: enumerate_toric(ToricPair(hirzebruch(1), darmon([2, 1, 2, 1])), 5),
+    lambda: enumerate_projective(ToricPair(P2, campana([2, 2, 2])), 6),
+    lambda: crosscheck(ToricPair(P2, darmon([2, 3, 2])), 6),
+])
+def test_census_unchanged_when_the_memo_is_cleared_before_every_tuple(monkeypatch, job):
+    want = job()
+    real = points.multiplicity_vectors
+
+    def cold(*args):
+        points._mult_memo.cache_clear()
+        return real(*args)
+
+    monkeypatch.setattr(points, "multiplicity_vectors", cold)
+    monkeypatch.setattr(enumerate_module, "multiplicity_vectors", cold)
+    assert job() == want

@@ -11,11 +11,12 @@ from toricapprox.conditions import (
     Kind,
     MultiplicitySet,
     ToricPair,
+    _phi,
     campana,
     darmon,
 )
 from toricapprox.decide import _divisors_gt1
-from toricapprox import fan as fan_module, intlat
+from toricapprox import fan as fan_module, intlat, points
 from toricapprox.fan import (
     hirzebruch,
     minimal_cone_containing,
@@ -34,13 +35,20 @@ from toricapprox.points import (
     is_perfect_power,
     is_squarefree,
     mult_at_prime,
-    phi_v,
+    multiplicity_vectors,
     torus_kernel_basis,
     v_p,
 )
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+
+
+def phi_v(p: int, P: CoxPoint) -> tuple:
+    """The cocharacter sum of valuations: the representative-independent image
+    of the multiplicity vector (a test oracle)."""
+    assert not P.zero_support()
+    return _phi(P.fan, [v_p(c, p) for c in P.coords])
 
 
 def test_factorize():
@@ -112,6 +120,26 @@ def test_is_m_point_excluded_primes():
     pair = ToricPair(P1, darmon([2, 2]))
     P = CoxPoint.make(P1, [8, 9])
     assert is_m_point(pair, P, excluded_primes=[2]).ok
+
+
+def test_is_m_point_compares_fans_by_value():
+    twin = projective_space(2)
+    assert twin is not P2 and twin == P2
+    pair = ToricPair(P2, darmon([2, 2, 2]))
+    assert is_m_point(pair, CoxPoint.make(twin, [4, 9, 25])).ok
+    w = is_m_point(pair, CoxPoint.make(twin, [8, 9, 25]))
+    assert not w.ok and w.prime == 2 and w.vector == (3, 0, 0)
+    with pytest.raises(ValueError, match="different fans"):
+        is_m_point(ToricPair(hirzebruch(1), darmon([2] * 4)),
+                   CoxPoint.make(hirzebruch(2), [4, 9, 25, 1]))
+
+
+def test_v_p_rejects_p_below_two():
+    assert v_p(Fraction(12, 5), 2) == 2 and v_p(Fraction(12, 5), 5) == -1
+    for p in (0, 1, -1, -2):
+        for x in (5, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="prime"):
+                v_p(x, p)
 
 
 def test_oracles():
@@ -269,6 +297,44 @@ def test_mult_at_prime_matches_the_two_step_path(fan, data):
     P = CoxPoint.make(fan, coords)
     for p in (2, 3, 5):
         assert mult_at_prime(p, P) == _two_step_mult(p, P), (coords, p)
+
+
+def _coprime_rep_mult(p, P):
+    """Projective space: INF on the vanishing coordinates, valuations of the
+    coprime integer representative elsewhere."""
+    den = math.lcm(*[c.denominator for c in P.coords])
+    ints = [int(c * den) for c in P.coords]
+    g = math.gcd(*ints)
+    return tuple(INF if a == 0 else v_p(a // g, p) for a in ints)
+
+
+PN = [projective_space(n) for n in (1, 2, 3)]
+ONE_PASS_FANS = PN + [fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ONE_PASS_FANS), st.data())
+def test_multiplicity_vectors_match_the_per_prime_oracles(fan, data):
+    """One factorization pass and the per-fan memo give the vector of the
+    two-step path (or, at a boundary point of P^n, of the coprime integer
+    representative) at every prime dividing a numerator or denominator."""
+    n = len(fan.rays)
+    coords = data.draw(st.lists(_COORD, min_size=n, max_size=n))
+    if fan in PN:
+        zeros = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        coords = [0 if i in zeros else c for i, c in enumerate(coords)]
+    P = CoxPoint.make(fan, coords)
+    primes = sorted({q for c in P.coords if c
+                     for part in (c.numerator, c.denominator)
+                     for q in _naive_factorize(abs(part))})
+    oracle = _coprime_rep_mult if P.zero_support() else _two_step_mult
+    want = tuple((p, oracle(p, P)) for p in primes)
+    if data.draw(st.booleans()):
+        points._mult_memo.cache_clear()
+    assert multiplicity_vectors(P) == want, coords
+    assert multiplicity_vectors(P) == want, coords  # now read from the memo
+    skip = data.draw(st.sets(st.sampled_from((2, 3, 5, 7))))
+    assert multiplicity_vectors(P, skip) == tuple(pv for pv in want if pv[0] not in skip)
 
 
 def test_mult_at_prime_runs_no_normal_form_on_a_checked_fan(monkeypatch):
