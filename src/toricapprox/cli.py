@@ -290,29 +290,41 @@ def example_catalog(name: str, params: dict):
     """Worked setups with their expected verdicts attached."""
     Q = FieldDescriptor.number_field()
     rho = rho_of(Q)
+
+    def mults(default, count, finite=True):
+        m = tuple(params.get("m", default))
+        if len(m) != count:
+            raise InputError(f"example {name} needs {count} multiplicities, got {len(m)}")
+        if finite and INF in m:
+            raise InputError(f"example {name} needs finite multiplicities")
+        return m
+
     if name == "pn-darmon":
         n = int(params.get("n", 3))
-        m = params.get("m", (2, 3, 5))
+        if n < 2:
+            raise InputError(f"example pn-darmon needs n >= 2, got {n}")
+        m = mults((2, 3, 5), n, finite=False)
         fan = projective_space(n - 1)
         expected = darmon_projective_closed_form(n, m, rho, True).holds
         return fan, darmon(list(m)), Q, expected
     if name == "hirzebruch":
         r = int(params.get("r", 2))
-        m = params.get("m", (2, 2, 2, 2))
+        m1, m2, m3, m4 = m = mults((2, 2, 2, 2), 4)
         fan = hirzebruch(r)
-        m1, m2, m3, m4 = m
         g = math.gcd(m1 * m2, m1 * m4, m2 * m3, m3 * m4, r * m1 * m3)
         expected = Holds.YES if g == 1 else Holds.NO
         return fan, darmon(list(m)), Q, expected
     if name == "p11r":
         r = int(params.get("r", 2))
-        m = params.get("m", (2, 3, 7))
+        m = mults((2, 3, 7), 3)
         fan = weighted_P11r(r)
         ok = math.gcd(m[0], m[1]) == 1 and math.gcd(m[0] * m[1], m[2], r - 1) == 1
         expected = Holds.YES if ok else Holds.NO
         return fan, darmon(list(m)), Q, expected
     if name == "affine-space":
         d = int(params.get("d", 2))
+        if d < 1:
+            raise InputError(f"example affine-space needs d >= 1, got {d}")
         fan = projective_space(d)
         pair = integral_any_pair(fan, [d])  # remove one hyperplane
         return fan, pair.conditions, Q, Holds.YES
@@ -322,13 +334,13 @@ def example_catalog(name: str, params: dict):
 
 def cmd_example(args) -> int:
     params = {}
-    if args.n:
+    if args.n is not None:
         params["n"] = args.n
     if args.r is not None:
         params["r"] = args.r
-    if args.m:
+    if args.m is not None:
         params["m"] = tuple(_parse_mult(t) for t in args.m.split(","))
-    if args.d:
+    if args.d is not None:
         params["d"] = args.d
     fan, ms, field, expected = example_catalog(args.name, params)
     pair = ToricPair(fan, ms)

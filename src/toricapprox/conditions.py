@@ -132,6 +132,8 @@ class MultiplicitySet:
 
     @classmethod
     def weak_campana(cls, m: Sequence) -> "MultiplicitySet":
+        if any(x != INF and (not isinstance(x, int) or x < 1) for x in m):
+            raise ValueError("weak_campana needs every m in N* or infinity")
         return cls(Variant.WEAK_CAMPANA, weak_m=tuple(m))
 
     @classmethod
@@ -272,7 +274,8 @@ def _phi(fan: Fan, w) -> tuple:
 def nm_generators(pair: ToricPair):
     """Finite generating sets for the lattice N_M and the cone of N_M^+.
 
-    One list generates both; it is returned as a (lattice, cone) pair.
+    One list generates both (for WEAK_CAMPANA, the cone's closure); it is
+    returned as a (lattice, cone) pair.
     """
     fan = pair.fan
     ms = pair.conditions
@@ -286,8 +289,9 @@ def nm_generators(pair: ToricPair):
                 vec[i] = w
                 gens.append(_phi(fan, vec))
     elif ms.variant is Variant.WEAK_CAMPANA:
-        bound = max([m + 1 for m in ms.weak_m if m != INF] or [2])
-        gens = _enumerate_phi(pair, bound)
+        n = len(fan.rays)
+        gens = _weak_campana_generators(
+            fan, ms.weak_m, [[int(a == b) for b in range(n)] for a in range(n)])
     else:
         for v in ms.vectors:
             if all(x != INF for x in v):
@@ -296,25 +300,6 @@ def nm_generators(pair: ToricPair):
                     gens.append(_phi(fan, v))
     gens = [g for g in gens if any(g)]
     return gens, list(gens)
-
-
-def _enumerate_phi(pair: ToricPair, bound: int) -> list:
-    """phi of all cone-supported admissible finite vectors with entries <= bound."""
-    fan = pair.fan
-    out = set()
-    seen = set()
-    for c in fan.max_cones:
-        for vals in _iter_product(range(bound + 1), repeat=len(c)):
-            w = [0] * len(fan.rays)
-            for i, x in zip(c, vals):
-                w[i] = x
-            tw = tuple(w)
-            if tw in seen:
-                continue
-            seen.add(tw)
-            if any(w) and pair.conditions.admits_vector(w):
-                out.add(_phi(fan, w))
-    return sorted(out)
 
 
 def pair_invariants(pair: ToricPair) -> PairInvariants:
@@ -372,15 +357,14 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
 
     For a PRODUCT of ANY, INTEGRAL, CAMPANA, DARMON and STRICT_DARMON
     conditions the generators of N_{f*M} are built exactly, one congruence
-    lattice per source cone.  Other multiplicity sets are enumerated over
+    lattice per source cone, and for WEAK_CAMPANA they are read from the
+    pulled-back weights.  Other multiplicity sets are enumerated over
     cone-supported vectors with entries <= W (W recorded in the notes).
     """
     fan0 = pair.fan
     src = refinement.source
     if refinement.target != fan0:
         raise ValueError("refinement target must be the pair's fan")
-    if not is_smooth(src):
-        raise ValueError("refinement source must be smooth")
     coeffs = []
     for alpha in range(len(fan0.rays)):
         c = inverse_image_coefficients(refinement, alpha)
@@ -393,6 +377,9 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     if ms.variant is Variant.PRODUCT and all(c.kind in _EXACT_KINDS for c in ms.conditions):
         gens = _exact_pullback_generators(src, ms.conditions, coeffs)
         note = "pullback generators: exact congruence lattice per source cone"
+    elif ms.variant is Variant.WEAK_CAMPANA:
+        gens = _weak_campana_generators(src, ms.weak_m, coeffs)
+        note = "pullback generators: exact, rays of the source cones the weights reach"
     else:
         W = _box_bound(ms, coeffs)
         gens = _box_generators(src, pulled_back_set(ms, coeffs), W)
@@ -442,14 +429,30 @@ def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
     return sorted(gens)
 
 
+def _weak_campana_generators(fan: Fan, weak_m, coeffs) -> list:
+    """Rays of the cones that admit a nonzero finite vector of the pullback of
+    weak_campana(weak_m); coeffs[a][b] is the multiplicity of ray b in the
+    inverse image of D_a (the identity for the pair itself).
+
+    A finite w is admissible iff w = 0 or sum_b lam_b w_b >= 1, with lam_b the
+    sum of c_ab / m_a over the finite m_a != 1.  A cone with no lam_b > 0
+    admits only 0.  On a cone with such a c_ab > 0, m_a e_b + t e_i is
+    admissible for every ray i and t >= 0: these span Z^sigma, and their
+    cone's closure is the orthant, which holds every admissible vector.  So
+    the rays span N_M and the closure of cone(N_M^+), and a convex cone is all
+    of N_R iff its closure is.
+    """
+    reached = {b for row, m in zip(coeffs, weak_m) if m not in (1, INF)
+               for b, c in enumerate(row) if c > 0}
+    return sorted({fan.rays[i] for c in fan.max_cones if reached & set(c) for i in c})
+
+
 def _box_bound(ms: MultiplicitySet, coeffs) -> int:
     """W = lcm(finite multiplicities) * (1 + max coefficient)."""
     finite_mults = []
     if ms.variant is Variant.PRODUCT:
         for cond in ms.conditions:
             finite_mults.extend(x for x in cond.finite_slice())
-    elif ms.variant is Variant.WEAK_CAMPANA:
-        finite_mults.extend(m for m in ms.weak_m if m != INF)
     else:
         finite_mults.extend(x for v in ms.vectors for x in v if x not in (0, INF))
     maxc = max((c for row in coeffs for c in row), default=0)
@@ -481,9 +484,8 @@ class NotPrincipalError(RuntimeError):
     def __init__(self, divisor_index: int, detail: NotPrincipal):
         self.divisor_index = divisor_index
         self.detail = detail
-        super().__init__(
-            f"inverse image of divisor {divisor_index} not certified principal: "
-            f"{detail.reason}" + (f" (bound {detail.bound})" if detail.bound else ""))
+        super().__init__(f"inverse image of divisor {divisor_index} not certified "
+                         f"principal: {detail.reason}")
 
 
 def mred_in_closure_of_mfin(pair: ToricPair) -> bool:

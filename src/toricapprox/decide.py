@@ -23,7 +23,7 @@ from .conditions import (
     nm_singular,
     pair_invariants,
 )
-from .fan import Fan, RefinementMap, is_smooth, resolve_2d
+from .fan import Fan, is_smooth, resolve_2d
 from .fields import (
     FieldDescriptor,
     FieldFlags,
@@ -39,7 +39,7 @@ from .intlat import (
     lattice_from_generators,
     quotient_invariants,
 )
-from .points import factorize
+from .points import factorize, is_prime
 
 
 class Holds(Enum):
@@ -65,19 +65,13 @@ class Verdict:
                 "reasons": list(self.reasons), "invariants": inv}
 
 
-def invariants_of(pair: ToricPair, refinement: Optional[RefinementMap] = None,
-                  ) -> PairInvariants:
-    """Pair invariants, routing singular fans through a smooth refinement."""
+def invariants_of(pair: ToricPair) -> PairInvariants:
+    """Pair invariants, routing singular surfaces through their minimal resolution."""
     if is_smooth(pair.fan):
-        if refinement is not None:
-            return nm_singular(pair, refinement)
         return pair_invariants(pair)
-    if refinement is None:
-        if pair.fan.dim == 2:
-            refinement = resolve_2d(pair.fan)
-        else:
-            raise ValueError("singular fan of dimension > 2: supply a smooth refinement")
-    return nm_singular(pair, refinement)
+    if pair.fan.dim != 2:
+        raise ValueError("singular fan of dimension > 2: only surfaces are resolved")
+    return nm_singular(pair, resolve_2d(pair.fan))
 
 
 def _resolve_flags(field: FieldDescriptor, flags: Optional[FieldFlags]) -> FieldFlags:
@@ -86,11 +80,10 @@ def _resolve_flags(field: FieldDescriptor, flags: Optional[FieldFlags]) -> Field
 
 def decide_m_approx(pair: ToricPair, field: FieldDescriptor, T_nonempty: bool,
                     flags: Optional[FieldFlags] = None,
-                    refinement: Optional[RefinementMap] = None,
                     inv: Optional[PairInvariants] = None) -> Verdict:
     """M-approximation off T (T_nonempty) or everywhere (T empty)."""
     if inv is None:
-        inv = invariants_of(pair, refinement)
+        inv = invariants_of(pair)
     if not T_nonempty:
         # unconditional equivalence: approximation at every place iff N_M^+ = N
         if inv.nm_plus_equals_n:
@@ -131,6 +124,8 @@ def integral_any_pair(fan: Fan, removed: Sequence[int]) -> ToricPair:
     """The pair whose M-points are integral points of the complement of the
     removed divisors: INTEGRAL there, no condition elsewhere."""
     removed = set(removed)
+    if any(not 0 <= i < len(fan.rays) for i in removed):
+        raise ValueError(f"removed divisors must lie in 0..{len(fan.rays) - 1}: {sorted(removed)}")
     conds = [DivisorCondition(Kind.INTEGRAL) if i in removed
              else DivisorCondition(Kind.ANY) for i in range(len(fan.rays))]
     return ToricPair(fan, MultiplicitySet.of(conds))
@@ -138,11 +133,10 @@ def integral_any_pair(fan: Fan, removed: Sequence[int]) -> ToricPair:
 
 def decide_strong_approx(fan: Fan, removed_divisors: Sequence[int],
                          field: FieldDescriptor, T_nonempty: bool,
-                         flags: Optional[FieldFlags] = None,
-                         refinement: Optional[RefinementMap] = None) -> Verdict:
+                         flags: Optional[FieldFlags] = None) -> Verdict:
     """Strong approximation for the complement of a set of invariant divisors."""
     pair = integral_any_pair(fan, removed_divisors)
-    inner = decide_m_approx(pair, field, T_nonempty, flags, refinement)
+    inner = decide_m_approx(pair, field, T_nonempty, flags)
     inv = inner.invariants
     remarks = []
     q = inv.quotient
@@ -174,6 +168,8 @@ def pi1_root_stack(pair: ToricPair, char: int = 0) -> Pi1Result:
     """Fundamental group of the root stack: the profinite completion of N/N_M,
     with the p-parts removed in characteristic p."""
     fan = pair.fan
+    if char != 0 and not is_prime(char):
+        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
     if not is_smooth(fan):
         raise ValueError("root stack fundamental group requires a smooth fan")
     ms = pair.conditions
@@ -206,11 +202,10 @@ def pi1_root_stack(pair: ToricPair, char: int = 0) -> Pi1Result:
 
 def decide_integral_m_approx(pair: ToricPair, field: FieldDescriptor,
                              T_nonempty: bool,
-                             flags: Optional[FieldFlags] = None,
-                             refinement: Optional[RefinementMap] = None) -> Verdict:
+                             flags: Optional[FieldFlags] = None) -> Verdict:
     """Integral M-approximation: M-approximation plus density of the finite
     admissible vectors in the reduced ones."""
-    base = decide_m_approx(pair, field, T_nonempty, flags, refinement)
+    base = decide_m_approx(pair, field, T_nonempty, flags)
     if not base.holds.affirmative():
         return Verdict("integral_m_approximation", base.holds,
                        base.reasons + ("inherited from the M-approximation verdict",),
@@ -256,11 +251,10 @@ def _divisors_gt1(n: int) -> tuple:
 
 def classify_thinness(pair: ToricPair, field: FieldDescriptor,
                       flags: Optional[FieldFlags] = None,
-                      B_equals_C: bool = False, T_nonempty: bool = True,
-                      refinement: Optional[RefinementMap] = None) -> ThinnessReport:
+                      B_equals_C: bool = False, T_nonempty: bool = True) -> ThinnessReport:
     """Thinness of the set of M-points, and its Zariski density."""
     flags = _resolve_flags(field, flags)
-    inv = invariants_of(pair, refinement)
+    inv = invariants_of(pair)
     reasons = []
     cls = Thinness.UNKNOWN
     d_list = ()

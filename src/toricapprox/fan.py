@@ -2,8 +2,8 @@
 
 Fans with primitive ray generators and simplicial maximal cones, smoothness and
 completeness tests, class groups, stellar subdivision, the 2-D minimal
-resolution, Cartier data of torus-invariant divisors, and inverse-image
-coefficients along refinements.
+resolution, and inverse-image coefficients of torus-invariant divisors along
+refinements.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import product as _iter_product
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .intlat import (
     QuotientStructure,
@@ -21,7 +21,6 @@ from .intlat import (
     lattice_from_generators,
     quotient_invariants,
     rank,
-    solve_integral,
     solve_rational,
 )
 
@@ -54,14 +53,6 @@ class Fan:
 
 
 @dataclass(frozen=True)
-class CartierData:
-    """Integer covectors m_sigma with <m_sigma, n_rho_j> = delta_ij on each cone."""
-
-    divisor_index: int
-    per_max_cone: tuple  # one integer covector per maximal cone, fan order
-
-
-@dataclass(frozen=True)
 class RefinementMap:
     """A refinement of fans: every source cone sits inside a target cone."""
 
@@ -75,7 +66,6 @@ class NotPrincipal:
     """Failure value of inverse_image_coefficients; instructs further subdivision."""
 
     reason: str
-    bound: Optional[int] = None
 
 
 def _is_primitive(v) -> bool:
@@ -83,15 +73,6 @@ def _is_primitive(v) -> bool:
     for x in v:
         g = gcd(g, x)
     return g == 1
-
-
-def _primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
 
 
 def _cones_are_faces(fan: Fan, ca, cb) -> bool:
@@ -415,77 +396,69 @@ def identity_refinement(f: Fan) -> RefinementMap:
 
 
 # ---------------------------------------------------------------------------
-# Cartier data and inverse-image coefficients
+# Inverse-image coefficients
 # ---------------------------------------------------------------------------
 
-def cartier_data(f: Fan, i: int):
-    """Cartier support covectors of the divisor D_i, or None when not Cartier."""
-    covs = []
-    for c in f.max_cones:
-        rays = f.cone_rays(c)
-        A = [list(r) for r in rays]
-        b = [1 if j == i else 0 for j in c]
-        m = solve_integral(A, b)
-        if m is None:
-            return None
-        covs.append(tuple(m))
-    return CartierData(i, tuple(covs))
+@lru_cache(maxsize=256)
+def _ideal_corners(f: Fan, k: int, i: int) -> tuple:
+    """Points of the ideal {m : <m, r_l> >= [l = i]} of D_i on the k-th maximal
+    cone of f, full-dimensional with rays r_l, among which every n in the cone
+    has a minimizer of <m, n>.
+
+    The rows A[l] / D of the cone's inverse are the dual basis of the r_l.  Let
+    g_l = A[l] / gcd(A[l]) and s_l = <g_l, r_l> > 0.  While <m, r_l> - [l = i]
+    >= s_l, m - g_l stays in the ideal and lowers <m, n> by s_l x_l >= 0 for
+    n = sum x_l r_l.  So the reduced points, 0 <= <m, r_l> - [l = i] < s_l,
+    hold a minimizer for every n, and a simultaneous one whenever one exists.
+    There is one per coset of the lattice G of the g_l: each z in the box of
+    the diagonal of G's triangular HNF, shifted by -floor((<z, r_l> - [l = i])
+    / s_l) g_l.  Points that another undercuts in every <m, r_l> are dropped;
+    a Cartier D_i leaves one, the m with <m, r_l> = [l = i].
+    """
+    c = f.max_cones[k]
+    rays = f.cone_rays(c)
+    g = [tuple(x // gcd(*a) for x in a) for a in _cone_inverses(f)[k][0]]
+    s = [_dot(gl, r) for gl, r in zip(g, rays)]
+    diag = [v[j] for j, v in enumerate(lattice_from_generators(g, f.dim).basis)]
+    reduced = []
+    for z in _iter_product(*(range(h) for h in diag)):
+        q = [(_dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
+        m = tuple(zj - _dot(q, col) for zj, col in zip(z, zip(*g)))
+        reduced.append((tuple(_dot(m, r) for r in rays), m))
+    reduced.sort(key=lambda vm: sum(vm[0]))
+    corners = []
+    for v, m in reduced:
+        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in corners):
+            corners.append((v, m))
+    return tuple(m for _, m in corners)
 
 
 @lru_cache(maxsize=256)
 def inverse_image_coefficients(r: RefinementMap, i: int):
     """Coefficients of f^-1 D_i on the source divisors, or a NotPrincipal value.
 
-    Cartier targets are handled by evaluating the support covectors; otherwise a
-    bounded box search certifies the monomial-ideal pullback minima per source cone.
+    On each source cone the coefficients are the minima of <m, n> over the
+    ideal of D_i on the target cone, read from _ideal_corners; the inverse
+    image is principal there iff one point attains all of them at once.
     Refinements are frozen, so the result is cached per (refinement, divisor).
     """
     tgt, src = r.target, r.source
     if not is_smooth(src):
         raise ValueError("source fan of the refinement must be smooth")
-    cd = cartier_data(tgt, i)
-    if cd is not None:
-        coeffs = []
-        for nr in src.rays:
-            hit = max_cone_coords(tgt, nr)
-            if hit is None:
-                raise ValueError("source ray outside the target support")
-            m = cd.per_max_cone[tgt.max_cones.index(hit[0])]
-            coeffs.append(_dot(m, nr))
-        return tuple(coeffs)
-
     coeffs: dict = {}
-    bound_used = 0
     for sc in src.max_cones:
-        tc = None
-        for c, inverse in zip(tgt.max_cones, _cone_inverses(tgt)):
-            if all(_cone_coords(inverse, src.rays[j]) is not None for j in sc):
-                tc = c
-                break
-        if tc is None:
+        k = next((k for k, inverse in enumerate(_cone_inverses(tgt))
+                  if all(_cone_coords(inverse, src.rays[j]) is not None for j in sc)),
+                 None)
+        if k is None:
             return NotPrincipal("source cone not contained in any target cone")
-        if len(tc) != tgt.dim:
+        if len(tgt.max_cones[k]) != tgt.dim:
             return NotPrincipal("non-full-dimensional singular target cone")
-        rays = tgt.cone_rays(tc)
-        A = [list(rr) for rr in rays]
-        b = [1 if j == i else 0 for j in tc]
-        mstar = solve_rational(A, b)
-        radius = 4 * max(1, int(sum(abs(x) for x in mstar)) + 1)
-        bound_used = max(bound_used, radius)
-        feasible = []
-        for m in _iter_product(range(-radius, radius + 1), repeat=tgt.dim):
-            if all(_dot(m, rays[j]) >= b[j] for j in range(len(rays))):
-                feasible.append(m)
-        if not feasible:
-            return NotPrincipal("bound exhausted", bound=radius)
-        src_rays = [src.rays[j] for j in sc]
-        values = [tuple(_dot(m, nr) for nr in src_rays) for m in feasible]
-        mins = tuple(min(v[k] for v in values) for k in range(len(src_rays)))
+        values = [tuple(_dot(m, src.rays[j]) for j in sc) for m in _ideal_corners(tgt, k, i)]
+        mins = tuple(map(min, zip(*values)))
         if mins not in values:
-            return NotPrincipal("no simultaneous minimizer: pullback not principal on a cone",
-                                bound=radius)
+            return NotPrincipal("no simultaneous minimizer: pullback not principal on a cone")
         for j, val in zip(sc, mins):
-            if j in coeffs and coeffs[j] != val:
-                return NotPrincipal("inconsistent coefficients across cones", bound=radius)
-            coeffs[j] = val
+            if coeffs.setdefault(j, val) != val:
+                return NotPrincipal("inconsistent coefficients across cones")
     return tuple(coeffs.get(j, 0) for j in range(len(src.rays)))

@@ -371,27 +371,6 @@ def solve_rational(Arows: list, b: list):
     return x
 
 
-def solve_integral(Arows: list, b: list):
-    """Solve A x = b over Z; returns an integer solution or None."""
-    dec = snf(Arows)
-    m, n = len(Arows), len(Arows[0])
-    c = [sum(u * x for u, x in zip(row, b)) for row in dec.U]
-    y = [0] * n
-    for i in range(min(m, n)):
-        di = dec.S[i][i]
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    for i in range(n, m):
-        if c[i] != 0:
-            return None
-    return [sum(v * yk for v, yk in zip(row, y)) for row in dec.V]
-
-
 def solve_in_smooth_cone(cone_rays: Sequence[Sequence[int]], v: Sequence[int]):
     """Coordinates of v in a unimodular simplicial cone, or None if v is outside.
 

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from toricapprox.approx import LocalConstraint, m_point_approximate, squarefree_approximate
+from toricapprox.cli import example_catalog
 from toricapprox.conditions import ToricPair, campana, darmon, nm_singular, pair_invariants
 from toricapprox.decide import (
     Holds,
@@ -96,6 +97,14 @@ def test_criterion_03_weighted_surface_gcd_criterion():
             for m0, m1 in itertools.product([1, 2, 3, 4], repeat=2):
                 vals = {verdicts[(2, m0, m1, m2)] for m2 in [1, 2, 3, 4]}
                 assert len(vals) == 1, (m0, m1)
+
+
+def test_criterion_03b_weighted_surface_example_matches_pipeline_for_r_up_to_12():
+    # example_catalog attaches the gcd criterion as the expected verdict
+    for r in range(1, 13):
+        for m in itertools.product([1, 2, 3, 4, 6], repeat=3):
+            fan, ms, field, expected = example_catalog("p11r", {"r": r, "m": m})
+            assert decide_m_approx(ToricPair(fan, ms), field, True).holds is expected, (r, m)
 
 
 def test_criterion_04_finite_campana_everywhere_approximation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricapprox.cli import main, parse_fan
 from toricapprox.conditions import Kind
-from toricapprox.fan import hirzebruch, inverse_image_coefficients, projective_space
+from toricapprox.fan import hirzebruch, projective_space
 from toricapprox.points import _factorize_cached
 
 
@@ -211,19 +211,43 @@ BIG_N = 1000000007 * 1000000009
     # a crosscheck over an empty box
     (["crosscheck", "--fan", "p2", "--darmon", "2,2,2", "--height", "0"], (2,), ""),
     (["crosscheck", "--fan", "p2", "--darmon", "2,2,2", "--height", "-3"], (2,), ""),
+    # singular cones of index 20 and 1,001, beyond any small search box
+    (["analyze", "--fan", "p11r:20", "--darmon", "2,3,5"], (0,), "index: 1"),
+    (["analyze", "--darmon", "2,3,5", "--fan",
+      '{"dim":2,"rays":[[1,0],[-3,1001],[-1,-1]],"max_cones":[[0,1],[1,2],[0,2]]}'],
+     (0,), "index: 1"),
 ])
-def test_arithmetic_inputs_end_promptly(capsys, argv, want_rc, want_out):
+def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a
     primality, divisor, root or pullback loop hang, overflow or raise: each
-    ends in seconds with an answer or a defect/input exit code."""
-    _factorize_cached.cache_clear()
-    inverse_image_coefficients.cache_clear()
+    ends in seconds, from empty caches, with an answer or a defect/input exit
+    code."""
     start = time.perf_counter()
     rc, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5
     assert rc in want_rc, err
     assert want_out in out
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["example", "p11r", "--m", "2,3"], "example p11r needs 3 multiplicities, got 2"),
+    (["example", "hirzebruch", "--m", "2,2"], "example hirzebruch needs 4 multiplicities, got 2"),
+    (["example", "p11r", "--m", "inf,2,3"], "example p11r needs finite multiplicities"),
+    (["example", "pn-darmon", "--n", "0"], "example pn-darmon needs n >= 2, got 0"),
+    (["example", "affine-space", "--d", "0"], "example affine-space needs d >= 1, got 0"),
+    (["pi1", "--fan", "p2", "--m", "2,2,2", "--char", "4"],
+     "characteristic must be 0 or a prime, got 4"),
+    (["pi1", "--fan", "p2", "--m", "2,2,2", "--char", "-3"],
+     "characteristic must be 0 or a prime, got -3"),
+    (["decide", "strong-approx", "--fan", "p2", "--removed", "7"],
+     "removed divisors must lie in 0..2: [7]"),
+    (["decide", "strong-approx", "--fan", "p2", "--removed", "-1"],
+     "removed divisors must lie in 0..2: [-1]"),
+])
+def test_out_of_range_values_exit_2(capsys, argv, msg):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"input error: {msg}\n")
 
 
 # CLI contract fuzz: well-formed commands with at most one malformed part, so

@@ -22,6 +22,7 @@ from toricapprox.conditions import (
     _box_bound,
     _box_generators,
     _invariants_from_gens,
+    _phi,
 )
 from toricapprox.fan import (
     Fan,
@@ -33,7 +34,7 @@ from toricapprox.fan import (
     stellar_subdivide,
     weighted_P11r,
 )
-from toricapprox.intlat import INF
+from toricapprox.intlat import INF, cone_is_full
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -163,7 +164,7 @@ def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):
     pair = ToricPair(weighted_P11r(3), darmon([2, 3, 7]))
     first = nm_singular(pair, resolve_2d(weighted_P11r(3)))
     calls = []
-    for mod, name in ((fan_module, "cartier_data"), (conditions_module, "_box_generators")):
+    for mod, name in ((fan_module, "_ideal_corners"), (conditions_module, "_box_generators")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
     second = nm_singular(pair, resolve_2d(weighted_P11r(3)))
@@ -250,6 +251,39 @@ def test_weak_campana():
     assert not ms.admits_vector((1, 0))
     inv = pair_invariants(ToricPair(P1, ms))
     assert inv.index == 1
+    with pytest.raises(ValueError, match="weak_campana"):
+        MultiplicitySet.weak_campana([0, 2])
+
+
+def test_weak_campana_cone_is_full_beyond_a_small_box():
+    # on P^2 with m = (2, 1, 1) these admissible vectors positively span N_R,
+    # since phi(2, 5, 0) + phi(2, 0, 5) = (-1, 0); none with entries <= 3 do
+    ms = MultiplicitySet.weak_campana([2, 1, 1])
+    witnesses = [(2, 0, 0), (2, 5, 0), (2, 0, 5)]
+    assert all(ms.admits_vector(w) for w in witnesses)
+    assert cone_is_full([_phi(P2, w) for w in witnesses], 2)
+    assert not cone_is_full(_box_generators(P2, ms.admits_vector, 3), 2)
+    assert pair_invariants(ToricPair(P2, ms)).nm_plus_equals_n
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref=st.sampled_from(_REFINED), data=st.data())
+def test_weak_campana_generators_against_the_box_search(ref, data):
+    """Box vectors with entries <= max(m) + 1 span N_M (m_a e_b and
+    m_a e_b + e_i fit), and they are admissible, so a full box cone forces a
+    full cone(N_M^+)."""
+    m = data.draw(st.lists(st.sampled_from([1, 2, 3, INF]), min_size=len(ref.target.rays),
+                           max_size=len(ref.target.rays)))
+    pair = ToricPair(ref.target, MultiplicitySet.weak_campana(m))
+    exact = nm_singular(pair, ref)
+    coeffs = [inverse_image_coefficients(ref, a) for a in range(len(m))]
+    W = max([x for x in m if x != INF], default=0) + 1
+    box = _box_generators(ref.source, pulled_back_set(pair.conditions, coeffs), W)
+    n = len(ref.source.rays)
+    src_pair = ToricPair(ref.source, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * n))
+    oracle = _invariants_from_gens(src_pair, box)
+    assert exact.index == oracle.index
+    assert exact.cone_full or not oracle.cone_full
 
 
 def test_json_parsing():

@@ -1,14 +1,16 @@
 import json
 from fractions import Fraction
+from itertools import product as iter_product
+from math import atan2, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricapprox.intlat import solve_rational
 from toricapprox.fan import (
     Fan,
+    _ideal_corners,
     NotPrincipal,
-    cartier_data,
     class_group,
     fan_validate,
     hirzebruch,
@@ -91,12 +93,30 @@ def test_resolve_2d_identity_on_smooth():
     assert ref.source == p2
 
 
-def test_cartier_data():
-    w = weighted_P11r(2)
-    # D_2 (ray (0,-1)) is Cartier, D_0 is not
-    assert cartier_data(w, 0) is None
-    cd = cartier_data(w, 2)
-    assert cd is not None
+def _coordinate(f, v, i):
+    """The coordinate of v on ray i in the first maximal cone of f holding v."""
+    c, x, D = max_cone_coords(f, v)
+    return Fraction(x[c.index(i)], D) if i in c else 0
+
+
+def test_cartier_divisors_pull_back_to_their_cone_coordinates():
+    # every divisor of a smooth fan is Cartier, and so is D_2 of P(1,1,r)
+    refs = [(stellar_subdivide(f, v), range(len(f.rays))) for f, v in
+            ((projective_space(2), (1, 1)), (hirzebruch(2), (1, 1)),
+             (hirzebruch(3), (-1, 4)))]
+    refs += [(resolve_2d(weighted_P11r(r)), [2]) for r in range(1, 8)]
+    for ref, cartier in refs:
+        for i in cartier:
+            want = tuple(_coordinate(ref.target, v, i) for v in ref.source.rays)
+            assert inverse_image_coefficients(ref, i) == want
+    # on the singular cone of P(1,1,5), of index 5, the Cartier D_2 keeps one
+    # candidate of the five reduced points: m = 0
+    assert _ideal_corners(weighted_P11r(5), 0, 2) == ((0, 0),)
+    # D_0 of P(1,1,2) is not Cartier: its Q-pullback 1/2 on the exceptional
+    # ray rounds up to 1
+    ref = resolve_2d(weighted_P11r(2))
+    assert _coordinate(ref.target, (0, 1), 0) == Fraction(1, 2)
+    assert inverse_image_coefficients(ref, 0)[ref.source.rays.index((0, 1))] == 1
 
 
 def test_inverse_image_coefficients_p112():
@@ -195,3 +215,62 @@ def test_cone_coordinates_match_the_exact_solver(fv):
         want_min = None if want is None else tuple(
             i for i, xi in zip(*want) if xi > 0)
     assert minimal_cone_containing(f, v) == want_min
+
+
+def _box_pullback_oracle(ref, i, radius):
+    """inverse_image_coefficients by brute force: the minima of <m, n> over the
+    ideal {m : <m, r_k> >= [k = i]} of each target cone, m in a box of the
+    given radius; "not principal" when no point attains a source cone's minima."""
+    tgt, src = ref.target, ref.source
+    box = list(iter_product(range(-radius, radius + 1), repeat=tgt.dim))
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    ideals, coeffs = {}, {}
+    for sc in src.max_cones:
+        c, _, _ = max_cone_coords(tgt, [sum(col) for col in zip(*src.cone_rays(sc))])
+        if c not in ideals:
+            # off the cone the ideal is the dual cone, where m = 0 is least
+            ideals[c] = [m for m in box
+                         if all(dot(m, tgt.rays[k]) >= (k == i) for k in c)
+                         ] if i in c else [(0,) * tgt.dim]
+        values = [tuple(dot(m, src.rays[j]) for j in sc) for m in ideals[c]]
+        mins = tuple(map(min, zip(*values)))
+        if mins not in values:
+            return "not principal"
+        for j, v in zip(sc, mins):
+            assert coeffs.setdefault(j, v) == v
+    return tuple(coeffs.get(j, 0) for j in range(len(src.rays)))
+
+
+@st.composite
+def _complete_2d_fans(draw):
+    """A complete simplicial 2-D fan on 3 to 6 primitive rays with entries in
+    [-5, 5]: one ray in each quarter turn [90q, 90q + 90) degrees keeps every
+    gap between neighbours below a half turn; up to two more rays may be
+    added and one quarter's ray dropped."""
+    def rotate(v, q):
+        for _ in range(q):
+            v = (-v[1], v[0])
+        return v
+    quarter = st.tuples(st.integers(1, 5), st.integers(0, 5))
+    rays = {rotate(draw(quarter.filter(lambda v: gcd(*v) == 1)), q) for q in range(4)}
+    extra = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda v: gcd(*v) == 1)
+    rays |= set(draw(st.lists(extra, max_size=2)))
+    rays = sorted(rays, key=lambda v: atan2(v[1], v[0]))
+    if draw(st.booleans()):
+        rays.pop(draw(st.integers(0, len(rays) - 1)))
+    assume(all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(rays, rays[1:] + rays[:1])))
+    k = len(rays)
+    return Fan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_complete_2d_fans())
+def test_inverse_image_coefficients_match_a_wide_box(f):
+    # every reduced point of an ideal has entries of size at most 4 * 5 here
+    # (see fan._ideal_corners), well inside the radius
+    ref = resolve_2d(f)
+    for i in range(len(f.rays)):
+        got = inverse_image_coefficients(ref, i)
+        want = _box_pullback_oracle(ref, i, 24)
+        assert (got.reason.startswith("no simultaneous") if isinstance(got, NotPrincipal)
+                else got) == (True if want == "not principal" else want), (f, i)

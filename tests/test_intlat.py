@@ -16,7 +16,6 @@ from toricapprox.intlat import (
     right_inverse,
     snf,
     solve_in_smooth_cone,
-    solve_integral,
     solve_rational,
 )
 
@@ -123,8 +122,6 @@ def test_cone_predicates():
 def test_solvers():
     rows = [[1, 2], [3, 4]]
     assert solve_rational(rows, [5, 11]) == [Fraction(1), Fraction(2)]
-    assert solve_integral(rows, [5, 11]) == [1, 2]
-    assert solve_integral([[2]], [3]) is None
     assert solve_in_smooth_cone([(1, 0), (1, 1)], (3, 2)) == (1, 2)
     assert solve_in_smooth_cone([(1, 0), (1, 1)], (1, 2)) is None
 
