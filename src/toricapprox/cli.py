@@ -8,9 +8,12 @@ internal assertion, an arithmetic error or exhausted memory).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
 import sys
+from contextlib import redirect_stdout
 
 from . import __version__
 from .approx import RetriesExhausted, ScanCapExhausted, m_point_approximate
@@ -445,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
     except (ScanCapExhausted, RetriesExhausted, NotPrincipalError,
@@ -457,6 +458,24 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command.  Its output is held until its exit status is decided,
+    so a reader that closes the pipe early changes neither."""
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return _run(args)
+    finally:
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again at exit; send that to
+            # the null device rather than into the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

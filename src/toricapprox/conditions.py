@@ -421,11 +421,9 @@ def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
         K = math.lcm(*[m for _, m in rows]) * (camp + max(abs(x) for v in basis for x in v))
         vecs = [[K * int(j == k) for j in range(len(S))] for k in range(len(S))]
         vecs += [[K + x for x in v] for v in basis]
+        rays = [src.rays[b] for b in S]
         for v in vecs:
-            w = [0] * len(src.rays)
-            for b, x in zip(S, v):
-                w[b] = x
-            gens.add(_phi(src, w))
+            gens.add(tuple(sum(x * r[j] for x, r in zip(v, rays)) for j in range(src.dim)))
     return sorted(gens)
 
 

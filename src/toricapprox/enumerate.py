@@ -18,13 +18,11 @@ from typing import Optional
 from .conditions import Kind, ToricPair, Variant
 from .fan import is_complete, is_smooth
 from .points import (
-    CoxPoint,
     factorize,
     is_m_full,
-    is_m_point,
     is_perfect_power,
     is_squarefree,
-    multiplicity_vectors,
+    m_point_check,
     torus_kernel_basis,
     _is_projective_space,
 )
@@ -50,6 +48,15 @@ class Census:
         return out
 
 
+def _coprime_box(n: int, H: int):
+    """The coprime integer n-tuples of absolute value at most H whose first
+    nonzero coordinate is positive, in product order."""
+    for tup in _iter_product(range(-H, H + 1), repeat=n):
+        # gcd of the all-zero tuple is 0, so it is dropped here too
+        if gcd(*tup) == 1 and next(x for x in tup if x) > 0:
+            yield tup
+
+
 def enumerate_projective(pair: ToricPair, H: int, keep_points: bool = True) -> Census:
     """All M-points of projective space with coprime integer coordinates of
     absolute value at most H, first nonzero coordinate positive."""
@@ -58,20 +65,10 @@ def enumerate_projective(pair: ToricPair, H: int, keep_points: bool = True) -> C
     fan = pair.fan
     if not _is_projective_space(fan):
         raise ValueError("projective census needs a projective space fan")
-    n = len(fan.rays)
-    found = []
-    for tup in _iter_product(range(-H, H + 1), repeat=n):
-        if all(x == 0 for x in tup):
-            continue
-        nz = [x for x in tup if x != 0]
-        if nz[0] < 0:
-            continue  # canonical sign
-        if gcd(*[abs(x) for x in tup]) != 1:
-            continue
-        P = CoxPoint.make(fan, tup)
-        if is_m_point(pair, P).ok:
-            found.append(tup)
-    found.sort()
+    admits = pair.conditions.admits_vector
+    verdicts = {}
+    found = [tup for tup in _coprime_box(len(fan.rays), H)
+             if m_point_check(fan, tup, admits, verdicts)[0].ok]
     return Census(pair, H, len(found), tuple(found) if keep_points else None)
 
 
@@ -93,16 +90,16 @@ def _sign_group(fan) -> tuple:
     return tuple(tuple(-1 if x else 1 for x in g) for g in sorted(group))
 
 
-def canonical_interior(pair: ToricPair, P: CoxPoint, vectors: tuple) -> tuple:
-    """Canonical orbit representative of an interior point from its
-    multiplicity_vectors(P): per-prime multiplicity magnitudes, then the
-    minimal sign pattern."""
+def canonical_interior(pair: ToricPair, coords, vectors: tuple) -> tuple:
+    """Canonical orbit representative of the interior point with Cox
+    coordinates coords from its multiplicity vectors (multiplicity_vectors):
+    per-prime multiplicity magnitudes, then the minimal sign pattern."""
     fan = pair.fan
     mags = [1] * len(fan.rays)
     for p, mv in vectors:
         for i, e in enumerate(mv):
             mags[i] *= p ** e
-    signs = [1 if c > 0 else -1 for c in P.coords]
+    signs = [1 if c > 0 else -1 for c in coords]
     best = None
     for s in _sign_group(fan):
         cand = tuple(m * a * b for m, a, b in zip(mags, signs, s))
@@ -112,7 +109,9 @@ def canonical_interior(pair: ToricPair, P: CoxPoint, vectors: tuple) -> tuple:
 
 
 def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census:
-    """Interior census: orbits of all-nonzero integer Cox tuples in the box."""
+    """Interior census: orbits of all-nonzero integer Cox tuples in the box.
+    Admissibility is a property of the orbit, so each admissible tuple adds
+    its orbit's canonical representative."""
     fan = pair.fan
     if H < 0:
         raise ValueError("height bound must be nonnegative")
@@ -121,17 +120,14 @@ def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census
     rank = len(fan.rays) - fan.dim
     if rank > 2:
         raise ValueError("canonicalization implemented for class group rank <= 2")
-    n = len(fan.rays)
+    admits = pair.conditions.admits_vector
+    verdicts = {}
     seen = set()
     vals = [*range(-H, 0), *range(1, H + 1)]
-    for tup in _iter_product(vals, repeat=n):
-        P = CoxPoint.make(fan, tup)
-        vectors = multiplicity_vectors(P)
-        canon = canonical_interior(pair, P, vectors)
-        if canon in seen:
-            continue
-        if is_m_point(pair, P, vectors=vectors).ok:
-            seen.add(canon)
+    for tup in _iter_product(vals, repeat=len(fan.rays)):
+        witness, vectors = m_point_check(fan, tup, admits, verdicts)
+        if witness.ok:
+            seen.add(canonical_interior(pair, tup, vectors))
     pts = tuple(sorted(seen))
     return Census(pair, H, len(pts), pts if keep_points else None)
 
@@ -181,17 +177,13 @@ def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("crosscheck needs per-divisor conditions")
     conds = pair.conditions.conditions
-    n = len(fan.rays)
+    admits = pair.conditions.admits_vector
+    verdicts = {}
     checked = 0
     divergences = []
-    for tup in _iter_product(range(-H, H + 1), repeat=n):
-        if all(x == 0 for x in tup):
-            continue
-        nz = [x for x in tup if x != 0]
-        if nz[0] < 0 or gcd(*[abs(x) for x in tup]) != 1:
-            continue
+    for tup in _coprime_box(len(fan.rays), H):
         checked += 1
-        fan_v = is_m_point(pair, CoxPoint.make(fan, tup)).ok
+        fan_v = m_point_check(fan, tup, admits, verdicts)[0].ok
         oracle_v = all(_oracle_admits(c, a) for c, a in zip(conds, tup))
         if fan_v != oracle_v:
             divergences.append((tup, fan_v, oracle_v))

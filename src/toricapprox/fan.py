@@ -413,7 +413,8 @@ def _ideal_corners(f: Fan, k: int, i: int) -> tuple:
     There is one per coset of the lattice G of the g_l: each z in the box of
     the diagonal of G's triangular HNF, shifted by -floor((<z, r_l> - [l = i])
     / s_l) g_l.  Points that another undercuts in every <m, r_l> are dropped;
-    a Cartier D_i leaves one, the m with <m, r_l> = [l = i].
+    a Cartier D_i leaves one, the m with <m, r_l> = [l = i].  The points come
+    in lexicographic order of their values <m, r_l>.
     """
     c = f.max_cones[k]
     rays = f.cone_rays(c)
@@ -425,10 +426,14 @@ def _ideal_corners(f: Fan, k: int, i: int) -> tuple:
         q = [(_dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
         m = tuple(zj - _dot(q, col) for zj, col in zip(z, zip(*g)))
         reduced.append((tuple(_dot(m, r) for r in rays), m))
-    reduced.sort(key=lambda vm: sum(vm[0]))
+    # in lexicographic order only an earlier point can undercut a later one;
+    # in 2-D the kept values fall strictly in the second entry, so the last
+    # kept point is the one that can
+    reduced.sort()
     corners = []
     for v, m in reduced:
-        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in corners):
+        rivals = corners[-1:] if f.dim == 2 else corners
+        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in rivals):
             corners.append((v, m))
     return tuple(m for _, m in corners)
 

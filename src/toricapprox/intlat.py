@@ -85,22 +85,25 @@ def hnf(A: Sequence[Sequence[int]]) -> tuple:
     n = len(A)
     result: list = []
     for r in range(n):
-        # Gather columns with a nonzero entry in row r and gcd-reduce them.
-        while True:
-            live = [j for j, c in enumerate(cols) if c[r] != 0]
-            if len(live) <= 1:
-                break
-            # pivot-size control: reduce against the smallest entry
-            live.sort(key=lambda j: abs(cols[j][r]))
-            p, q = live[0], live[1]
-            f = cols[q][r] // cols[p][r]
-            cols[q] = [cols[q][i] - f * cols[p][i] for i in range(n)]
-            if not any(cols[q]):
-                cols.pop(q)
-        live = [j for j, c in enumerate(cols) if c[r] != 0]
+        live = [c for c in cols if c[r]]
         if not live:
             continue
-        piv = cols.pop(live[0])
+        cols = [c for c in cols if not c[r]]
+        # gcd-reduce row r: every live column modulo the one with the smallest
+        # entry, until one is left
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[r]))
+            left = [piv]
+            for c in live:
+                if c is not piv:
+                    f = c[r] // piv[r]
+                    c = [x - f * y for x, y in zip(c, piv)]
+                    if c[r]:
+                        left.append(c)
+                    elif any(c):
+                        cols.append(c)
+            live = left
+        piv = live[0]
         if piv[r] < 0:
             piv = [-x for x in piv]
         # reduce earlier pivot columns in row r into [0, piv[r])

@@ -221,40 +221,10 @@ def mult_at_prime(p: int, P: CoxPoint):
 
 @lru_cache(maxsize=256)
 def _mult_memo(fan: Fan) -> dict:
-    """The interior multiplicity vectors found on one fan, keyed by valuation
-    vector: on a smooth complete fan the vector depends on the valuations
-    alone.  Only mult_at_prime adds entries, so a fan it rejects gets none."""
+    """The multiplicity vectors found on one fan, keyed by valuation key (see
+    m_point_check): the vector depends on the key alone.  Only mult_at_prime
+    adds entries, so a fan it rejects gets none."""
     return {}
-
-
-def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
-    """((p, multiplicity vector), ...) over the primes not in skip that divide
-    some numerator or denominator of the coordinates, ascending.  Each
-    numerator and denominator is factored once.  At an interior point, a
-    valuation vector not yet seen on the fan goes through mult_at_prime; a
-    boundary point's vectors come from mult_at_prime, which reads them off the
-    coprime integer representative."""
-    n = len(P.coords)
-    vals = {}
-    for i, c in enumerate(P.coords):
-        for part, sign in ((c.numerator, 1), (c.denominator, -1)):
-            if part not in (1, -1, 0):
-                for p, e in factorize(part).items():
-                    if p not in vals:
-                        vals[p] = [0] * n
-                    vals[p][i] = sign * e
-    primes = [p for p in sorted(vals) if p not in skip]
-    if not all(P.coords):
-        return tuple((p, mult_at_prime(p, P)) for p in primes)
-    memo = _mult_memo(P.fan)
-    out = []
-    for p in primes:
-        key = tuple(vals[p])
-        mv = memo.get(key)
-        if mv is None:
-            mv = memo[key] = mult_at_prime(p, P)
-        out.append((p, mv))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -264,6 +234,98 @@ class MPointWitness:
     vector: Optional[tuple] = None
 
 
+_YES = MPointWitness(True)
+
+
+def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
+                  point: Optional[CoxPoint] = None, vectors=None) -> tuple:
+    """The M-point verdict of the point with Cox coordinates coords on fan, at
+    every prime outside skip: (witness, multiplicity vectors).
+
+    coords are ints or Fractions whose zeros span a cone.  Each numerator and
+    denominator is factored once into the valuation vector (v_p(x_i))_i of
+    every prime p dividing one.  Its key is the vector itself at an interior
+    point; at a boundary point it is INF on the zero set and each finite entry
+    less the least finite one, which is what mult_at_prime reads off the
+    coprime integer representative.  The per-fan memo maps a key to its
+    multiplicity vector; a key not in it goes once through mult_at_prime, on
+    point or a CoxPoint built from coords.  verdicts maps a key to
+    (admits(vector), vector); a caller may keep it across points of one
+    multiplicity set.  At a boundary point the generic vector (INF on the zero
+    set, 0 elsewhere) is checked first, and a failure there returns at once
+    with vectors None.  The witness names the least failing prime; vectors
+    holds (p, vector) at every prime outside skip, ascending.  A caller that
+    already holds the vectors passes them; they then stand in for the keys,
+    and verdicts must be a dict of its own.
+    """
+    n = len(coords)
+    zeros = 0  # bit i set iff coords[i] == 0; an int never equals a tuple key
+    for i, c in enumerate(coords):
+        if not c:
+            zeros |= 1 << i
+    if zeros:
+        hit = verdicts.get(zeros)
+        if hit is None:
+            generic = tuple(INF if zeros >> i & 1 else 0 for i in range(n))
+            hit = verdicts[zeros] = (admits(generic), generic)
+        if not hit[0]:
+            return MPointWitness(False, None, hit[1]), None
+    keys = _valuation_keys(coords, zeros, skip) if vectors is None else vectors
+    witness = _YES
+    out = []
+    for p, key in keys:
+        hit = verdicts.get(key)
+        if hit is None:
+            if vectors is not None:
+                mv = key
+            else:
+                memo = _mult_memo(fan)
+                mv = memo.get(key)
+                if mv is None:
+                    mv = memo[key] = mult_at_prime(p, point or CoxPoint.make(fan, coords))
+            hit = verdicts[key] = (admits(mv), mv)
+        if not hit[0] and witness.ok:
+            witness = MPointWitness(False, p, hit[1])
+        out.append((p, hit[1]))
+    return witness, tuple(out)
+
+
+def _valuation_keys(coords, zeros: int, skip) -> list:
+    """[(p, valuation key), ...] ascending over the primes not in skip that
+    divide a numerator or denominator of the coordinates (see m_point_check)."""
+    n = len(coords)
+    vals = {}
+    for i, c in enumerate(coords):
+        for part, sign in ((c.numerator, 1), (c.denominator, -1)):
+            if part not in (1, -1, 0):
+                for p, e in factorize(part).items():
+                    row = vals.get(p)
+                    if row is None:
+                        row = vals[p] = [0] * n
+                    row[i] = sign * e
+    keys = []
+    for p in sorted(vals):
+        if p in skip:
+            continue
+        v = vals[p]
+        if zeros:
+            low = min(x for i, x in enumerate(v) if not zeros >> i & 1)
+            v = [INF if zeros >> i & 1 else x - low for i, x in enumerate(v)]
+        keys.append((p, tuple(v)))
+    return keys
+
+
+def _admit_all(vector) -> bool:
+    return True
+
+
+def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
+    """((p, multiplicity vector), ...) over the primes not in skip that divide
+    some numerator or denominator of the coordinates, ascending, read through
+    the per-fan memo at interior and boundary points alike (m_point_check)."""
+    return m_point_check(P.fan, P.coords, _admit_all, {}, skip, P)[1]
+
+
 def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=(),
                vectors=None) -> MPointWitness:
     """Whether the multiplicity vector at every prime outside excluded_primes
@@ -271,19 +333,8 @@ def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=(),
     multiplicity_vectors(P, excluded_primes) passes them as vectors."""
     if P.fan != pair.fan:
         raise ValueError("point and pair live on different fans")
-    zeros = P.zero_support()
-    if zeros:
-        # the generic vector (infinity at the vanishing divisors, zero elsewhere)
-        # is the multiplicity at every prime not dividing the coordinates
-        generic = tuple(INF if i in zeros else 0 for i in range(len(P.coords)))
-        if not pair.conditions.admits_vector(generic):
-            return MPointWitness(False, None, generic)
-    if vectors is None:
-        vectors = multiplicity_vectors(P, excluded_primes)
-    for p, mv in vectors:
-        if not pair.conditions.admits_vector(mv):
-            return MPointWitness(False, p, mv)
-    return MPointWitness(True)
+    return m_point_check(P.fan, P.coords, pair.conditions.admits_vector, {},
+                         excluded_primes, P, vectors)[0]
 
 
 # ---------------------------------------------------------------------------

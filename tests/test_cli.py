@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toricapprox
 from toricapprox.cli import main, parse_fan
 from toricapprox.conditions import Kind
 from toricapprox.fan import hirzebruch, projective_space
@@ -50,6 +54,27 @@ def test_decide_yes_and_assert_no(capsys):
     rc, out, _ = run(capsys, "decide", "m-approx", "--fan", "p1",
                      "--darmon", "2,2")
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv, want_rc", [
+    (["analyze", "--fan", "p2", "--darmon", "2,3,5"], 0),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--assert"], 1),
+])
+def test_closed_stdout_keeps_the_exit_status(argv, want_rc):
+    """A reader that has closed the pipe is not an input error: the command
+    exits as it would have, with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricapprox.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "toricapprox.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (want_rc, "")
 
 
 def test_decide_json_output(capsys):
@@ -215,6 +240,9 @@ BIG_N = 1000000007 * 1000000009
     (["analyze", "--fan", "p11r:20", "--darmon", "2,3,5"], (0,), "index: 1"),
     (["analyze", "--darmon", "2,3,5", "--fan",
       '{"dim":2,"rays":[[1,0],[-3,1001],[-1,-1]],"max_cones":[[0,1],[1,2],[0,2]]}'],
+     (0,), "index: 1"),
+    (["analyze", "--darmon", "2,3,5", "--fan",
+      '{"dim":2,"rays":[[1,0],[-3,3001],[-1,-1]],"max_cones":[[0,1],[1,2],[0,2]]}'],
      (0,), "index: 1"),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want_out):

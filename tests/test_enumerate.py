@@ -24,6 +24,7 @@ from toricapprox.enumerate import (
 )
 from toricapprox import enumerate as enumerate_module, points
 from toricapprox.fan import hirzebruch, product as fan_product, projective_space, weighted_P11r
+from toricapprox.intlat import INF
 from toricapprox.points import (
     CoxPoint,
     factorize,
@@ -98,7 +99,7 @@ def test_toric_census_h2_units():
     census = enumerate_toric(pair, 1)
     # orbit oracle: partition the +-1 tuples by canonical representative
     pts = [CoxPoint.make(pair.fan, t) for t in product([1, -1], repeat=4)]
-    orbits = {canonical_interior(pair, P, multiplicity_vectors(P)) for P in pts}
+    orbits = {canonical_interior(pair, P.coords, multiplicity_vectors(P)) for P in pts}
     assert census.count == len(orbits) == 4
 
 
@@ -161,8 +162,8 @@ def test_sign_group_is_cached_per_fan(fan):
 
 def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
     """One job reaches mult_at_prime once per distinct valuation vector in its
-    box, though canonical_interior and is_m_point both read every new orbit's
-    vectors."""
+    box, though every tuple's vectors are read, for its verdict and, when it
+    is admissible, for its orbit's canonical representative."""
     pair = ToricPair(fan_product(P1, P1), darmon([2, 3, 2, 3]))
     H = 5
     points._mult_memo.cache_clear()
@@ -183,6 +184,31 @@ def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
     assert set(seen) == distinct
 
 
+@pytest.mark.parametrize("job", [enumerate_projective, crosscheck])
+def test_projective_census_computes_each_valuation_key_once(monkeypatch, job):
+    """Boundary points go through the per-fan memo as interior ones do: one
+    mult_at_prime call per distinct key, INF on the zero set of a coprime
+    integer tuple and its valuations elsewhere."""
+    pair = ToricPair(P2, darmon([2, 3, 2]))
+    H = 6
+    points._mult_memo.cache_clear()
+    seen = []
+    real = points.mult_at_prime
+
+    def counting(p, P):
+        seen.append(real(p, P))
+        return seen[-1]
+
+    monkeypatch.setattr(points, "mult_at_prime", counting)
+    job(pair, H)
+    distinct = {tuple(INF if a == 0 else v_p(a, p) for a in tup)
+                for tup in coprime_box(3, H)
+                for p in {q for a in tup if a for q in factorize(a)}}
+    assert any(INF in key for key in distinct)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == distinct
+
+
 @pytest.mark.parametrize("job", [
     lambda: enumerate_toric(ToricPair(fan_product(P1, P1), campana([2, 2, 3, 3])), 6),
     lambda: enumerate_toric(ToricPair(hirzebruch(1), darmon([2, 1, 2, 1])), 5),
@@ -190,13 +216,18 @@ def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
     lambda: crosscheck(ToricPair(P2, darmon([2, 3, 2])), 6),
 ])
 def test_census_unchanged_when_the_memo_is_cleared_before_every_tuple(monkeypatch, job):
+    """Each tuple reaches m_point_check with the per-fan memo empty and a
+    fresh verdict dict, so every vector comes from mult_at_prime again."""
     want = job()
-    real = points.multiplicity_vectors
+    real = points.m_point_check
+    tuples = []
 
-    def cold(*args):
+    def cold(fan, coords, admits, verdicts, *rest):
         points._mult_memo.cache_clear()
-        return real(*args)
+        tuples.append(coords)
+        return real(fan, coords, admits, {}, *rest)
 
-    monkeypatch.setattr(points, "multiplicity_vectors", cold)
-    monkeypatch.setattr(enumerate_module, "multiplicity_vectors", cold)
+    monkeypatch.setattr(points, "m_point_check", cold)
+    monkeypatch.setattr(enumerate_module, "m_point_check", cold)
     assert job() == want
+    assert tuples

@@ -6,9 +6,10 @@ from math import atan2, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricapprox.intlat import solve_rational
+from toricapprox.intlat import lattice_from_generators, solve_rational
 from toricapprox.fan import (
     Fan,
+    _cone_inverses,
     _ideal_corners,
     NotPrincipal,
     class_group,
@@ -261,6 +262,43 @@ def _complete_2d_fans(draw):
     assume(all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(rays, rays[1:] + rays[:1])))
     k = len(rays)
     return Fan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+
+
+def _all_pairs_corners(f, k, i):
+    """The reduced points of _ideal_corners filtered by comparing each with
+    every kept point, in order of value sum (a test oracle): a set of m."""
+    c = f.max_cones[k]
+    rays = f.cone_rays(c)
+    inverse = _cone_inverses(f)[k][0]
+    g = [tuple(x // gcd(*a) for x in a) for a in inverse]
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    s = [dot(gl, r) for gl, r in zip(g, rays)]
+    diag = [v[j] for j, v in enumerate(lattice_from_generators(g, f.dim).basis)]
+    reduced = []
+    for z in iter_product(*(range(h) for h in diag)):
+        q = [(dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
+        m = tuple(zj - dot(q, col) for zj, col in zip(z, zip(*g)))
+        reduced.append((tuple(dot(m, r) for r in rays), m))
+    reduced.sort(key=lambda vm: sum(vm[0]))
+    corners = []
+    for v, m in reduced:
+        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in corners):
+            corners.append((v, m))
+    return {m for _, m in corners}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_complete_2d_fans())
+def test_ideal_corners_match_the_all_pairs_filter(f):
+    for k in range(len(f.max_cones)):
+        for i in f.max_cones[k]:
+            got = _ideal_corners(f, k, i)
+            assert len(set(got)) == len(got)
+            assert set(got) == _all_pairs_corners(f, k, i), (f, k, i)
+    for r in (5, 12, 40):
+        for i in range(3):
+            assert set(_ideal_corners(weighted_P11r(r), 0, i)) == \
+                _all_pairs_corners(weighted_P11r(r), 0, i)
 
 
 @settings(max_examples=30, deadline=None)

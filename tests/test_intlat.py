@@ -150,6 +150,48 @@ def test_hnf_column_span_preserved(m, n, data):
     assert hnf(h) == h
 
 
+def _rescan_hnf(A):
+    """The column-style HNF by one gcd step at a time, re-collecting and
+    re-sorting the live columns of the row after each step (a test oracle)."""
+    cols = [list(c) for c in zip(*A) if any(c)]
+    n = len(A)
+    result = []
+    for r in range(n):
+        while True:
+            live = [j for j, c in enumerate(cols) if c[r] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: abs(cols[j][r]))
+            p, q = live[0], live[1]
+            f = cols[q][r] // cols[p][r]
+            cols[q] = [cols[q][i] - f * cols[p][i] for i in range(n)]
+            if not any(cols[q]):
+                cols.pop(q)
+        live = [j for j, c in enumerate(cols) if c[r] != 0]
+        if not live:
+            continue
+        piv = cols.pop(live[0])
+        if piv[r] < 0:
+            piv = [-x for x in piv]
+        for k, pc in enumerate(result):
+            f = pc[r] // piv[r]
+            if f:
+                result[k] = [pc[i] - f * piv[i] for i in range(n)]
+        result.append(piv)
+    return tuple(tuple(c[i] for c in result) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.data())
+def test_hnf_matches_the_one_step_rescan(m, n, data):
+    """One pass per row that reduces every live column gives the same normal
+    form, many-column matrices included."""
+    bound = data.draw(st.sampled_from([1, 3, 20, 10 ** 6]))
+    entries = data.draw(st.lists(st.integers(-bound, bound), min_size=m * n, max_size=m * n))
+    A = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(m))
+    assert hnf(A) == _rescan_hnf(A)
+
+
 def _oracle_cone_contains(gens, v):
     """Caratheodory: v lies in the cone iff some independent subset carries it."""
     import itertools

@@ -34,6 +34,7 @@ from toricapprox.points import (
     is_m_point,
     is_perfect_power,
     is_squarefree,
+    m_point_check,
     mult_at_prime,
     multiplicity_vectors,
     torus_kernel_basis,
@@ -335,6 +336,80 @@ def test_multiplicity_vectors_match_the_per_prime_oracles(fan, data):
     assert multiplicity_vectors(P) == want, coords  # now read from the memo
     skip = data.draw(st.sets(st.sampled_from((2, 3, 5, 7))))
     assert multiplicity_vectors(P, skip) == tuple(pv for pv in want if pv[0] not in skip)
+
+
+def _head_is_m_point(pair, P):
+    """The per-point path the census core replaced, as a test oracle: the
+    generic vector at a boundary point, then mult_at_prime at every prime
+    dividing a numerator or denominator, ascending.  Returns (ok, prime,
+    vector) and the (p, vector) pairs, or None after a generic failure."""
+    zeros = P.zero_support()
+    admits = pair.conditions.admits_vector
+    if zeros:
+        generic = tuple(INF if i in zeros else 0 for i in range(len(P.coords)))
+        if not admits(generic):
+            return (False, None, generic), None
+    primes = sorted({q for c in P.coords if c for part in (c.numerator, c.denominator)
+                     for q in _naive_factorize(abs(part))})
+    vectors = tuple((p, mult_at_prime(p, P)) for p in primes)
+    bad = next(((False, p, mv) for p, mv in vectors if not admits(mv)), (True, None, None))
+    return bad, vectors
+
+
+_CONDITION = st.one_of(
+    st.sampled_from([DivisorCondition(Kind.ANY), DivisorCondition(Kind.INTEGRAL),
+                     DivisorCondition(Kind.SQUAREFREE)]),
+    st.builds(DivisorCondition, st.sampled_from([Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON]),
+              st.sampled_from([1, 2, 3, INF])),
+    st.builds(lambda vs, inf: DivisorCondition(Kind.FINITE_SET, values=tuple(vs),
+                                               allow_infinity=inf),
+              st.sets(st.integers(0, 4), max_size=3), st.booleans()),
+)
+# (fan, whether boundary points are drawn)
+CORE_FANS = [(P1, True), (P2, True), (fan_product(P1, P1), False), (hirzebruch(1), False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORE_FANS), st.data())
+def test_m_point_check_matches_the_per_point_path(fan_case, data):
+    """The core's witness and vectors equal those read from mult_at_prime at
+    every prime of CoxPoint.make(fan, coords), over several points sharing one
+    verdict dict, at boundary points of P^n with rational coordinates too."""
+    fan, boundary = fan_case
+    n = len(fan.rays)
+    pair = ToricPair(fan, MultiplicitySet.of(
+        data.draw(st.lists(_CONDITION, min_size=n, max_size=n))))
+    if data.draw(st.booleans()):
+        points._mult_memo.cache_clear()
+    verdicts = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        coords = data.draw(st.lists(_COORD, min_size=n, max_size=n))
+        if boundary:
+            zeros = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+            coords = [0 if i in zeros else c for i, c in enumerate(coords)]
+        if data.draw(st.booleans()) and all(c.denominator == 1 for c in coords):
+            coords = [int(c) for c in coords]  # the census loops pass ints
+        P = CoxPoint.make(fan, coords)
+        want, want_vectors = _head_is_m_point(pair, P)
+        skip = data.draw(st.sets(st.sampled_from((2, 3, 5))))
+        witness, vectors = m_point_check(fan, coords, pair.conditions.admits_vector, verdicts)
+        assert (witness.ok, witness.prime, witness.vector) == want, coords
+        assert vectors == want_vectors, coords
+        w = is_m_point(pair, P, skip)
+        if want_vectors is None:
+            assert (w.ok, w.prime, w.vector) == want
+            continue
+        kept = tuple(pv for pv in want_vectors if pv[0] not in skip)
+        assert (w.ok, w.prime, w.vector) == next(
+            ((False, p, mv) for p, mv in kept if not pair.conditions.admits_vector(mv)),
+            (True, None, None)), (coords, skip)
+        assert multiplicity_vectors(P, skip) == kept
+        assert is_m_point(pair, P, skip, kept) == w
+        if P.zero_support():
+            # a boundary key is the coprime representative's vector itself
+            points._mult_memo.cache_clear()
+            m_point_check(fan, coords, lambda mv: True, {})
+            assert set(points._mult_memo(fan)) == {mv for _, mv in want_vectors}
 
 
 def test_mult_at_prime_runs_no_normal_form_on_a_checked_fan(monkeypatch):
