@@ -9,42 +9,31 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conditions import ToricPair, Variant, _phi
 from .fan import is_complete, is_smooth
-from .intlat import right_inverse
-from .points import (CoxPoint, MPointWitness, factorize, is_m_point, is_squarefree,
-                     multiplicity_vectors, v_p)
+from .intlat import INF, right_inverse
+from .points import (CoxPoint, MPointWitness, RetriesExhausted, ScanCapExhausted,
+                     factorize, is_m_point, is_squarefree, multiplicity_vectors, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
 
 
-class ScanCapExhausted(RuntimeError):
-    """The squarefree scan hit its iteration cap: a computational defect, not a
-    nonexistence proof."""
-
-
-class RetriesExhausted(RuntimeError):
-    """The approximation loop failed verification at every retry digit level."""
-
-
-@dataclass(frozen=True)
-class LocalConstraint:
+class LocalConstraint(namedtuple("LocalConstraint", "p target k")):
     """Approximate the nonzero rational target p-adically to k digits:
     |f - target|_p <= p^(-k) |target|_p."""
 
-    p: int
-    target: Fraction
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, p: int, target: Fraction, k: int):
+        if k < 1:
             raise ValueError("need at least one digit")
-        if self.target == 0:
+        if target == 0:
             raise ValueError("target must be nonzero")
+        return super().__new__(cls, p, target, k)
 
 
 def _scan_cap() -> int:
@@ -121,8 +110,7 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     return out
 
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(NamedTuple):
     """Single-ray generators of the multiplicity set and the matrix of their
     phi-images, surjective onto N."""
 
@@ -188,10 +176,9 @@ def recombine(pair: ToricPair, gd: GammaData, cs: Sequence[Fraction]) -> tuple:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
+class ApproxCertificate(NamedTuple):
     point: CoxPoint
-    closeness: tuple  # (prime, requested digits, achieved valuation) triples
+    closeness: tuple  # (prime, requested digits, achieved valuation or INF) triples
     multiplicities: tuple  # (prime, vector) at every support prime off S'
     excluded_primes: tuple  # S'
     witness: MPointWitness
@@ -201,7 +188,7 @@ class ApproxCertificate:
 
     def to_json(self) -> dict:
         return {"point": self.point.to_json(),
-                "closeness": [{"p": p, "digits": k, "achieved": got}
+                "closeness": [{"p": p, "digits": k, "achieved": "inf" if got == INF else got}
                               for p, k, got in self.closeness],
                 "multiplicities": [{"p": p, "vector": [str(x) for x in v]}
                                    for p, v in self.multiplicities],
@@ -209,14 +196,15 @@ class ApproxCertificate:
                 "verified": self.verified()}
 
 
-def _closeness_valuation(pair, p, Q_coords, target_coords) -> int:
-    """min_j v_p(a_j(Q)/a_j(target) - 1), the G-invariant distance."""
+def _closeness_valuation(pair, p, Q_coords, target_coords):
+    """min_j v_p(a_j(Q)/a_j(target) - 1), the G-invariant distance: INF on an
+    exact match."""
     aq = _characters(pair.fan, Q_coords)
     at = _characters(pair.fan, target_coords)
     worst = None
     for x, y in zip(aq, at):
         diff = x / y - 1
-        v = 10 ** 9 if diff == 0 else v_p(diff, p)
+        v = INF if diff == 0 else v_p(diff, p)
         worst = v if worst is None else min(worst, v)
     return worst
 

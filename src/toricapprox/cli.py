@@ -16,7 +16,6 @@ import sys
 from contextlib import redirect_stdout
 
 from . import __version__
-from .approx import RetriesExhausted, ScanCapExhausted, m_point_approximate
 from .conditions import (
     NotPrincipalError,
     ToricPair,
@@ -36,10 +35,10 @@ from .decide import (
     invariants_of,
     pi1_root_stack,
 )
-from .enumerate import census_to_csv, crosscheck, enumerate_projective, enumerate_toric
 from .fan import Fan, fan_validate, hirzebruch, product, projective_space, weighted_P11r
 from .fields import FieldDescriptor, field_from_json, rho_of
-from .points import CoxPoint, FactorizationError, is_m_point, is_prime
+from .points import (CoxPoint, FactorizationError, RetriesExhausted, ScanCapExhausted,
+                     is_m_point, is_prime)
 from .intlat import INF
 
 
@@ -229,6 +228,9 @@ def cmd_check_point(args) -> int:
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
     P = parse_point(fan, args.point)
     excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
+    for p in excluded:
+        if not is_prime(p):
+            raise InputError(f"excluded primes must be primes, got {p}")
     w = is_m_point(pair, P, excluded_primes=excluded)
     if args.json:
         print(json.dumps({"is_m_point": w.ok, "prime": w.prime,
@@ -246,6 +248,8 @@ def cmd_check_point(args) -> int:
 
 
 def cmd_approximate(args) -> int:
+    from .approx import m_point_approximate
+
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
     cert = m_point_approximate(pair, parse_targets(fan, args.targets))
@@ -260,6 +264,8 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumerate import census_to_csv, enumerate_projective, enumerate_toric
+
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
     if args.interior:
@@ -277,6 +283,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from .enumerate import crosscheck
+
     fan = parse_fan(args.fan)
     pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
     rep = crosscheck(pair, args.height)

@@ -8,11 +8,11 @@ admissible vectors, and the cone of the monoid N_M^+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from enum import Enum
 from itertools import product as _iter_product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, NotPrincipal, RefinementMap, inverse_image_coefficients, is_smooth
 from .intlat import (
@@ -40,16 +40,16 @@ _PARAMETRIC = {Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON}
 _EXACT_KINDS = {Kind.ANY, Kind.INTEGRAL} | _PARAMETRIC
 
 
-@dataclass(frozen=True)
-class DivisorCondition:
+class DivisorCondition(namedtuple("DivisorCondition", "kind m values allow_infinity")):
     """Admissible multiplicities at a single boundary divisor."""
 
-    kind: Kind
-    m: Optional[object] = None  # int >= 1 or INF for the parametric kinds
-    values: Optional[tuple] = None  # FINITE_SET
-    allow_infinity: bool = False  # FINITE_SET
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind: Kind,
+                m: Optional[object] = None,  # int >= 1 or INF for the parametric kinds
+                values: Optional[tuple] = None,  # FINITE_SET
+                allow_infinity: bool = False):  # FINITE_SET
+        self = super().__new__(cls, kind, m, values, allow_infinity)
         if self.kind in _PARAMETRIC:
             if self.m != INF and (not isinstance(self.m, int) or self.m < 1):
                 raise ValueError(f"{self.kind.value} needs m in N* or infinity")
@@ -58,6 +58,7 @@ class DivisorCondition:
                 raise ValueError("FINITE_SET needs a tuple of naturals")
         elif self.m is not None:
             raise ValueError(f"{self.kind.value} takes no parameter")
+        return self
 
     def admits(self, w) -> bool:
         """Membership of w (a natural or infinity) in the admissible set."""
@@ -117,8 +118,7 @@ class Variant(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class MultiplicitySet:
+class MultiplicitySet(NamedTuple):
     """Structured description of the admissible multiplicity set."""
 
     variant: Variant
@@ -195,20 +195,18 @@ def darmon(m: Sequence) -> MultiplicitySet:
     return MultiplicitySet.of([DivisorCondition(Kind.DARMON, mi) for mi in m])
 
 
-@dataclass(frozen=True)
-class ToricPair:
+class ToricPair(namedtuple("ToricPair", "fan conditions")):
     """A fan together with a multiplicity set on its torus-invariant divisors."""
 
-    fan: Fan
-    conditions: MultiplicitySet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.conditions.arity() != len(self.fan.rays):
+    def __new__(cls, fan: Fan, conditions: MultiplicitySet):
+        if conditions.arity() != len(fan.rays):
             raise ValueError("multiplicity set arity must equal the number of rays")
+        return super().__new__(cls, fan, conditions)
 
 
-@dataclass(frozen=True)
-class PairInvariants:
+class PairInvariants(NamedTuple):
     """N_M, its index and quotient, and the N_M^+ cone data."""
 
     nm_basis: LatticeBasis

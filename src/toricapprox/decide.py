@@ -8,9 +8,8 @@ criteria surface as SUFFICIENT_ONLY.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .conditions import (
     Kind,
@@ -52,8 +51,7 @@ class Holds(Enum):
         return self in (Holds.YES, Holds.SUFFICIENT_ONLY)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     property: str
     holds: Holds
     reasons: tuple
@@ -158,8 +156,7 @@ def decide_strong_approx(fan: Fan, removed_divisors: Sequence[int],
                    inner.reasons + tuple(remarks), inv)
 
 
-@dataclass(frozen=True)
-class Pi1Result:
+class Pi1Result(NamedTuple):
     quotient: QuotientStructure
     label: str
 
@@ -227,8 +224,7 @@ class Thinness(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ThinnessReport:
+class ThinnessReport(NamedTuple):
     classification: Thinness
     d_list: tuple  # divisors > 1 of the index when finite
     zariski_dense: TriBool

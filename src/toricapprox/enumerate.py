@@ -9,11 +9,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iter_product
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conditions import Kind, ToricPair, Variant
 from .fan import is_complete, is_smooth
@@ -32,8 +31,7 @@ _HEIGHT_NOTE = ("height = max |canonical integer Cox coordinate| "
                 "attach no height to M-points)")
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     pair: ToricPair
     height: int
     count: int
@@ -132,8 +130,7 @@ def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census
     return Census(pair, H, len(pts), pts if keep_points else None)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     checked: int
     divergences: tuple  # (tuple, fan_verdict, oracle_verdict)
 

@@ -8,12 +8,11 @@ refinements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as _iter_product
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .intlat import (
     QuotientStructure,
@@ -25,8 +24,7 @@ from .intlat import (
 )
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """A simplicial fan: lattice dimension, primitive rays, maximal cones."""
 
     dim: int
@@ -52,8 +50,7 @@ class Fan:
         return cls.make(obj["dim"], obj["rays"], obj["max_cones"])
 
 
-@dataclass(frozen=True)
-class RefinementMap:
+class RefinementMap(NamedTuple):
     """A refinement of fans: every source cone sits inside a target cone."""
 
     source: Fan
@@ -61,8 +58,7 @@ class RefinementMap:
     ray_embedding: tuple  # target ray index -> source ray index
 
 
-@dataclass(frozen=True)
-class NotPrincipal:
+class NotPrincipal(NamedTuple):
     """Failure value of inverse_image_coefficients; instructs further subdivision."""
 
     reason: str

@@ -6,9 +6,9 @@ allowed primes plus a derivation note for auditability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .points import FactorizationError, factorize, is_prime
 
@@ -29,18 +29,19 @@ class BaseClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(namedtuple("FieldDescriptor", "kind q base char "
+                                 "curve_has_real_point closed_primes")):
     """A PF field (K, C): a global field, or the function field of a curve C/k."""
 
-    kind: FieldKind
-    q: Optional[int] = None  # GLOBAL_FUNCTION_FIELD: constant field size
-    base: Optional[BaseClass] = None  # FUNCTION_FIELD: class of the base field k
-    char: Optional[int] = None  # FUNCTION_FIELD: char(k)
-    curve_has_real_point: Optional[bool] = None  # real closed / her. Euclidean bases
-    closed_primes: Optional[frozenset] = None  # P_CLOSED: the set of primes
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind: FieldKind,
+                q: Optional[int] = None,  # GLOBAL_FUNCTION_FIELD: constant field size
+                base: Optional[BaseClass] = None,  # FUNCTION_FIELD: class of the base field k
+                char: Optional[int] = None,  # FUNCTION_FIELD: char(k)
+                curve_has_real_point: Optional[bool] = None,  # real closed / her. Euclidean
+                closed_primes: Optional[frozenset] = None):  # P_CLOSED: the set of primes
+        self = super().__new__(cls, kind, q, base, char, curve_has_real_point, closed_primes)
         if self.kind is FieldKind.GLOBAL_FUNCTION_FIELD:
             try:
                 prime_power = self.q is not None and self.q > 1 and len(factorize(self.q)) == 1
@@ -60,6 +61,7 @@ class FieldDescriptor:
                 raise ValueError("p-closed base needs its set of primes")
             if not all(isinstance(p, int) and is_prime(p) for p in self.closed_primes or ()):
                 raise ValueError("closed_primes must all be primes")
+        return self
 
     @classmethod
     def number_field(cls) -> "FieldDescriptor":
@@ -96,8 +98,7 @@ class Allowed(Enum):
     EXACTLY = "exactly"
 
 
-@dataclass(frozen=True)
-class RhoSpec:
+class RhoSpec(NamedTuple):
     """The monoid rho(K, C), described by its set of allowed prime generators."""
 
     allowed: Allowed
@@ -184,8 +185,7 @@ class TriBool(Enum):
         return cls.TRUE if b else cls.FALSE
 
 
-@dataclass(frozen=True)
-class FieldFlags:
+class FieldFlags(NamedTuple):
     """Finiteness hypotheses consumed by the approximation and thinness theorems."""
 
     pic_C_finitely_generated: TriBool = TriBool.UNKNOWN

@@ -9,16 +9,14 @@ lattice basis is a tuple of basis vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 #: Sentinel for infinite lattice index / infinite multiplicities.
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U A V = S with U, V unimodular and S in Smith normal form."""
 
     U: tuple
@@ -30,8 +28,7 @@ class SmithDecomposition:
         return [row[i] for i, row in enumerate(self.S) if i < len(row) and row[i] != 0]
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """Sublattice of Z^ambient_dim given by its canonical HNF basis."""
 
     ambient_dim: int
@@ -42,8 +39,7 @@ class LatticeBasis:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(NamedTuple):
     """Finite invariant factors (> 1) and free rank of an abelian quotient."""
 
     invariant_factors: tuple

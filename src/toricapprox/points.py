@@ -6,12 +6,11 @@ coordinates, translated into the unique cone-supported representative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, cycle
 from math import gcd, isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, max_cone_coords
 from .intlat import INF, snf
@@ -20,6 +19,15 @@ from .conditions import ToricPair, _phi
 
 class FactorizationError(ValueError):
     """An integer resisted trial division and primality testing at desk scale."""
+
+
+class ScanCapExhausted(RuntimeError):
+    """The squarefree scan hit its iteration cap: a computational defect, not a
+    nonexistence proof."""
+
+
+class RetriesExhausted(RuntimeError):
+    """The approximation loop failed verification at every retry digit level."""
 
 
 _TRIAL_BOUND = 10 ** 6
@@ -146,8 +154,7 @@ def v_p(x, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class CoxPoint:
+class CoxPoint(NamedTuple):
     """A rational point given by one Cox coordinate per ray."""
 
     fan: Fan
@@ -227,8 +234,7 @@ def _mult_memo(fan: Fan) -> dict:
     return {}
 
 
-@dataclass(frozen=True)
-class MPointWitness:
+class MPointWitness(NamedTuple):
     ok: bool
     prime: Optional[int] = None
     vector: Optional[tuple] = None

@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _cli_env() -> dict:
+    """The environment of a fresh interpreter that imports this toricapprox."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricapprox.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_parse_fan_shorthands():
     assert parse_fan("p2") == projective_space(2)
     assert parse_fan("hirzebruch:3") == hirzebruch(3)
@@ -65,16 +72,33 @@ def test_closed_stdout_keeps_the_exit_status(argv, want_rc):
     exits as it would have, with nothing on stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(toricapprox.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run([sys.executable, "-m", "toricapprox.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
                               timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (want_rc, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "m-approx", "--fan", "p2", "--darmon", "2,3,5"],
+    ["decide", "thinness", "--fan", "p1", "--darmon", "2,2"],
+    ["analyze", "--fan", "hirzebruch:1", "--campana", "2,2,2,2", "--json"],
+    ["pi1", "--fan", "p2", "--m", "2,2,2"],
+    ["check-point", "--fan", "p1", "--campana", "2,2", "--point", '{"coords": ["4", "9"]}'],
+    ["validate", "--fan", "p1xp1"],
+])
+def test_commands_import_only_what_they_run(argv):
+    """The approximation and census modules, and dataclasses, stay unloaded
+    by every command that does not use them: each is start-up cost."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "toricapprox.cli", *argv],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "toricapprox.decide" in imported
+    assert not imported & {"toricapprox.approx", "toricapprox.enumerate", "dataclasses"}
 
 
 def test_decide_json_output(capsys):
@@ -272,6 +296,9 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
      "removed divisors must lie in 0..2: [7]"),
     (["decide", "strong-approx", "--fan", "p2", "--removed", "-1"],
      "removed divisors must lie in 0..2: [-1]"),
+    *[(["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+        '{"coords": ["8", "9", "1"]}', "--exclude", p],
+       f"excluded primes must be primes, got {p}") for p in ("4", "1", "0", "-2")],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)
