@@ -17,7 +17,7 @@ from .conditions import ToricPair, Variant, _phi
 from .fan import is_complete, is_smooth
 from .intlat import INF, right_inverse
 from .points import (CoxPoint, MPointWitness, RetriesExhausted, ScanCapExhausted,
-                     factorize, is_m_point, is_squarefree, multiplicity_vectors, v_p)
+                     factorize, is_m_point, is_squarefree, m_point_check, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
 
@@ -254,8 +254,8 @@ def m_point_approximate(pair: ToricPair, targets: dict,
             if c.denominator > 1:
                 s_prime |= set(factorize(c.denominator))
         s_prime = tuple(sorted(s_prime))
-        mults = multiplicity_vectors(point, s_prime)
-        witness = is_m_point(pair, point, s_prime, mults)
+        witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
+                                       {}, s_prime, point)
         closeness = tuple(
             (p, targets[p][1],
              _closeness_valuation(pair, p, coords, targets[p][0].coords))

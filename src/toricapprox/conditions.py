@@ -40,6 +40,11 @@ _PARAMETRIC = {Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON}
 _EXACT_KINDS = {Kind.ANY, Kind.INTEGRAL} | _PARAMETRIC
 
 
+def _is_natural(x, least: int = 0) -> bool:
+    """x is an int (not a bool) of at least least."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
 class DivisorCondition(namedtuple("DivisorCondition", "kind m values allow_infinity")):
     """Admissible multiplicities at a single boundary divisor."""
 
@@ -51,10 +56,10 @@ class DivisorCondition(namedtuple("DivisorCondition", "kind m values allow_infin
                 allow_infinity: bool = False):  # FINITE_SET
         self = super().__new__(cls, kind, m, values, allow_infinity)
         if self.kind in _PARAMETRIC:
-            if self.m != INF and (not isinstance(self.m, int) or self.m < 1):
+            if self.m != INF and not _is_natural(self.m, 1):
                 raise ValueError(f"{self.kind.value} needs m in N* or infinity")
         elif self.kind is Kind.FINITE_SET:
-            if self.values is None or any(not isinstance(v, int) or v < 0 for v in self.values):
+            if self.values is None or not all(map(_is_natural, self.values)):
                 raise ValueError("FINITE_SET needs a tuple of naturals")
         elif self.m is not None:
             raise ValueError(f"{self.kind.value} takes no parameter")
@@ -132,7 +137,7 @@ class MultiplicitySet(NamedTuple):
 
     @classmethod
     def weak_campana(cls, m: Sequence) -> "MultiplicitySet":
-        if any(x != INF and (not isinstance(x, int) or x < 1) for x in m):
+        if any(x != INF and not _is_natural(x, 1) for x in m):
             raise ValueError("weak_campana needs every m in N* or infinity")
         return cls(Variant.WEAK_CAMPANA, weak_m=tuple(m))
 
@@ -140,9 +145,14 @@ class MultiplicitySet(NamedTuple):
     def custom(cls, vectors: Sequence[Sequence]) -> "MultiplicitySet":
         vecs = tuple(tuple(v) for v in vectors)
         n = len(vecs[0]) if vecs else 0
+        if any(len(v) != n for v in vecs):
+            raise ValueError("custom multiplicity vectors must all have the same length")
         if tuple(0 for _ in range(n)) not in vecs:
             raise ValueError("custom multiplicity sets must contain the zero vector")
         for v in vecs:
+            bad = [x for x in v if x != INF and not _is_natural(x)]
+            if bad:
+                raise ValueError(f"custom multiplicities must be naturals or infinity, got {bad[0]!r}")
             proj = tuple(INF if x == INF else 0 for x in v)
             if proj not in vecs:
                 raise ValueError(f"custom set not closed under the infinity projection: {v}")
@@ -231,7 +241,7 @@ class PairInvariants(NamedTuple):
 def _m_from_json(x):
     if x == "inf":
         return INF
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ValueError(f"multiplicity must be an integer or 'inf', got {x!r}")
 
@@ -382,8 +392,7 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
         W = _box_bound(ms, coeffs)
         gens = _box_generators(src, pulled_back_set(ms, coeffs), W)
         note = f"pullback enumeration bound W={W}"
-    src_pair = ToricPair(src, _any_set(len(src.rays)))
-    return _invariants_from_gens(src_pair, gens, notes=(note,))
+    return _invariants_from_gens(pair, gens, notes=(note,))
 
 
 def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
@@ -468,10 +477,6 @@ def _box_generators(src: Fan, admits_vec, W: int) -> list:
             if admits_vec(w):
                 gens.add(_phi(src, w))
     return sorted(g for g in gens if any(g))
-
-
-def _any_set(n: int) -> MultiplicitySet:
-    return MultiplicitySet.of([DivisorCondition(Kind.ANY) for _ in range(n)])
 
 
 class NotPrincipalError(RuntimeError):

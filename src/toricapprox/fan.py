@@ -11,16 +11,18 @@ import json
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as _iter_product
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .intlat import (
     QuotientStructure,
+    _dot,
     _lp_feasible,
+    cone_coords,
+    cone_inverse,
     lattice_from_generators,
     quotient_invariants,
     rank,
-    solve_rational,
 )
 
 
@@ -145,17 +147,10 @@ def fan_validate(f: Fan) -> list:
     return diags
 
 
-@lru_cache(maxsize=256)
 def is_smooth(f: Fan) -> bool:
-    """True iff every maximal cone is unimodular (all SNF invariant factors 1)."""
-    for c in f.max_cones:
-        q = quotient_invariants(
-            lattice_from_generators(f.cone_rays(c), f.dim), f.dim)
-        if q.invariant_factors:
-            return False
-        if q.free_rank != f.dim - len(c):
-            return False  # dependent rays: not even simplicial
-    return True
+    """True iff every maximal cone is unimodular, read off its cone inverse."""
+    return all(D == 1 and len(N) == f.dim - len(c)
+               for c, (_, D, N) in zip(f.max_cones, _cone_inverses(f)))
 
 
 @lru_cache(maxsize=256)
@@ -230,41 +225,11 @@ def class_group(f: Fan) -> QuotientStructure:
 # Cone location and subdivision
 # ---------------------------------------------------------------------------
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=256)
 def _cone_inverses(f: Fan) -> tuple:
-    """Per maximal cone, in fan order, integer data (A, D, N) with D > 0.
-
-    A vector v lies in the span of the cone's rays iff N v = 0, and then its
-    coordinates on the rays are A v / D.  A / D is the left inverse
-    (R R^T)^-1 R of the ray matrix R (one ray per row), so it is the inverse
-    of R^T on a full-dimensional cone; N holds the nonzero rows of
-    R^T A - D I, which vanish there.
-    """
-    table = []
-    for c in f.max_cones:
-        R = f.cone_rays(c)
-        gram = [[_dot(r, s) for s in R] for r in R]
-        cols = [solve_rational(gram, [r[i] for r in R]) for i in range(f.dim)]
-        D = lcm(*(x.denominator for col in cols for x in col))
-        A = tuple(tuple(int(col[j] * D) for col in cols) for j in range(len(c)))
-        off_span = [tuple(sum(r[i] * a[l] for r, a in zip(R, A)) - (D if i == l else 0)
-                      for l in range(f.dim)) for i in range(f.dim)]
-        table.append((A, D, tuple(row for row in off_span if any(row))))
-    return tuple(table)
-
-
-def _cone_coords(inverse, v):
-    """Numerators over D of v's coordinates on a cone with table entry
-    inverse = (A, D, N), or None when v is outside the cone."""
-    A, _, N = inverse
-    if any(_dot(n, v) for n in N):
-        return None
-    x = tuple(_dot(a, v) for a in A)
-    return None if any(xi < 0 for xi in x) else x
+    """Per maximal cone, in fan order, its intlat.cone_inverse (A, D, N): on a
+    full-dimensional cone A / D is the inverse of the ray matrix's transpose."""
+    return tuple(cone_inverse(f.cone_rays(c), f.dim) for c in f.max_cones)
 
 
 def max_cone_coords(f: Fan, v: Sequence[int]):
@@ -274,7 +239,7 @@ def max_cone_coords(f: Fan, v: Sequence[int]):
     x_i >= 0 and D > 0 (D = 1 on a unimodular cone).
     """
     for c, inverse in zip(f.max_cones, _cone_inverses(f)):
-        x = _cone_coords(inverse, v)
+        x = cone_coords(inverse, v)
         if x is not None:
             return c, x, inverse[1]
     return None
@@ -295,7 +260,7 @@ def stellar_subdivide(f: Fan, new_ray: Sequence[int]) -> RefinementMap:
         raise ValueError("new ray must be primitive")
     if v in f.rays:
         raise ValueError("vector is already a ray of the fan")
-    coords = [(c, _cone_coords(inverse, v))
+    coords = [(c, cone_coords(inverse, v))
               for c, inverse in zip(f.max_cones, _cone_inverses(f))]
     hits = [(c, x) for c, x in coords if x is not None]
     if not hits:
@@ -449,7 +414,7 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
     coeffs: dict = {}
     for sc in src.max_cones:
         k = next((k for k, inverse in enumerate(_cone_inverses(tgt))
-                  if all(_cone_coords(inverse, src.rays[j]) is not None for j in sc)),
+                  if all(cone_coords(inverse, src.rays[j]) is not None for j in sc)),
                  None)
         if k is None:
             return NotPrincipal("source cone not contained in any target cone")

@@ -335,39 +335,40 @@ def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int) -> bool:
     return cone_contains(generators, [-sum(col) for col in zip(*generators)])
 
 
-def solve_rational(Arows: list, b: list):
-    """Solve A x = b exactly over Q; returns list of Fractions or None if inconsistent.
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
-    A may have more rows than columns (overdetermined); any solution is returned
-    only when the system is consistent, and it is unique when A has full column rank.
+
+def cone_inverse(rays: Sequence[Sequence[int]], d: int) -> tuple:
+    """Integer data (A, D, N) with D > 0 for the cone on rays in Z^d.
+
+    A vector v lies in the span of the rays iff N v = 0, and then its
+    coordinates on the rays are A v / D (cone_coords).  With the Smith form
+    U R V = S of the ray matrix R (one ray per row) and its nonzero factors
+    s_1 | ... | s_r, x R = v reads (x U^-1) S = v V: N is the rows of V^T
+    past r, D = s_r and A = U^T diag(D / s_i) V^T (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  The rays extend to a basis
+    of Z^d, so the cone is unimodular, iff D = 1 and len(N) = d - len(rays).
     """
-    m = len(Arows)
-    n = len(Arows[0]) if m else 0
-    M = [[Fraction(Arows[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [M[i][k] - f * M[r][k] for k in range(n + 1)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = M[i][n]
-    return x
+    if not rays:
+        return (), 1, _identity(d)
+    dec = snf(rays)
+    s = dec.invariant_factors()
+    D = s[-1] if s else 1
+    Vt = tuple(zip(*dec.V))
+    A = tuple(tuple(sum(u[i] * (D // si) * Vt[i][l] for i, si in enumerate(s))
+                    for l in range(d)) for u in zip(*dec.U))
+    return A, D, Vt[len(s):]
+
+
+def cone_coords(inverse, v):
+    """Numerators over D of v's coordinates on a cone with inverse
+    (A, D, N) = cone_inverse(rays, d), or None when v is outside the cone."""
+    A, _, N = inverse
+    if any(_dot(n, v) for n in N):
+        return None
+    x = tuple(_dot(a, v) for a in A)
+    return None if any(xi < 0 for xi in x) else x
 
 
 def solve_in_smooth_cone(cone_rays: Sequence[Sequence[int]], v: Sequence[int]):
@@ -375,20 +376,9 @@ def solve_in_smooth_cone(cone_rays: Sequence[Sequence[int]], v: Sequence[int]):
 
     The rays must extend to a Z-basis; non-unimodular input is rejected.
     The package reads cone coordinates through fan.max_cone_coords; this
-    standalone form is the test oracle for points.mult_at_prime and stays
-    wrapped by the perfbench tracer.
+    standalone form stays wrapped by the perfbench tracer.
     """
-    rays = [list(r) for r in cone_rays]
-    if not rays:
-        return () if all(x == 0 for x in v) else None
-    d = len(rays[0])
-    q = quotient_invariants(lattice_from_generators(rays, d), d)
-    if q.invariant_factors or q.free_rank != d - len(rays):
+    inverse = cone_inverse(cone_rays, len(v))
+    if inverse[1] != 1 or len(inverse[2]) != len(v) - len(cone_rays):
         raise ValueError("cone is not unimodular simplicial")
-    A = [[rays[j][i] for j in range(len(rays))] for i in range(d)]
-    x = solve_rational(A, list(v))
-    if x is None:
-        return None
-    if any(xi.denominator != 1 or xi < 0 for xi in x):
-        return None
-    return tuple(int(xi) for xi in x)
+    return cone_coords(inverse, v)

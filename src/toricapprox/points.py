@@ -244,7 +244,7 @@ _YES = MPointWitness(True)
 
 
 def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
-                  point: Optional[CoxPoint] = None, vectors=None) -> tuple:
+                  point: Optional[CoxPoint] = None) -> tuple:
     """The M-point verdict of the point with Cox coordinates coords on fan, at
     every prime outside skip: (witness, multiplicity vectors).
 
@@ -260,9 +260,7 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
     multiplicity set.  At a boundary point the generic vector (INF on the zero
     set, 0 elsewhere) is checked first, and a failure there returns at once
     with vectors None.  The witness names the least failing prime; vectors
-    holds (p, vector) at every prime outside skip, ascending.  A caller that
-    already holds the vectors passes them; they then stand in for the keys,
-    and verdicts must be a dict of its own.
+    holds (p, vector) at every prime outside skip, ascending.
     """
     n = len(coords)
     zeros = 0  # bit i set iff coords[i] == 0; an int never equals a tuple key
@@ -276,19 +274,15 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
             hit = verdicts[zeros] = (admits(generic), generic)
         if not hit[0]:
             return MPointWitness(False, None, hit[1]), None
-    keys = _valuation_keys(coords, zeros, skip) if vectors is None else vectors
     witness = _YES
     out = []
-    for p, key in keys:
+    for p, key in _valuation_keys(coords, zeros, skip):
         hit = verdicts.get(key)
         if hit is None:
-            if vectors is not None:
-                mv = key
-            else:
-                memo = _mult_memo(fan)
-                mv = memo.get(key)
-                if mv is None:
-                    mv = memo[key] = mult_at_prime(p, point or CoxPoint.make(fan, coords))
+            memo = _mult_memo(fan)
+            mv = memo.get(key)
+            if mv is None:
+                mv = memo[key] = mult_at_prime(p, point or CoxPoint.make(fan, coords))
             hit = verdicts[key] = (admits(mv), mv)
         if not hit[0] and witness.ok:
             witness = MPointWitness(False, p, hit[1])
@@ -332,15 +326,13 @@ def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
     return m_point_check(P.fan, P.coords, _admit_all, {}, skip, P)[1]
 
 
-def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=(),
-               vectors=None) -> MPointWitness:
+def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitness:
     """Whether the multiplicity vector at every prime outside excluded_primes
-    is admissible.  A caller that already holds
-    multiplicity_vectors(P, excluded_primes) passes them as vectors."""
+    is admissible."""
     if P.fan != pair.fan:
         raise ValueError("point and pair live on different fans")
     return m_point_check(P.fan, P.coords, pair.conditions.admits_vector, {},
-                         excluded_primes, P, vectors)[0]
+                         excluded_primes, P)[0]
 
 
 # ---------------------------------------------------------------------------

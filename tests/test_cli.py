@@ -174,6 +174,14 @@ def test_analyze_json(capsys):
     assert obj["cone_full"] is True
 
 
+@pytest.mark.parametrize("fan", ["p2", "p11r:2"])
+def test_analyze_notes_a_custom_set_on_smooth_and_singular_fans(capsys, fan):
+    cond = '{"type": "custom", "vectors": [[0, 0, 0], [1, 1, 0], [0, 0, 1]]}'
+    rc, out, _ = run(capsys, "analyze", "--fan", fan, "--cond", cond, "--json")
+    assert rc == 0
+    assert json.loads(out)["notes"][-1].startswith("custom(3 vectors;")
+
+
 @pytest.mark.parametrize("argv", [
     ["example", "pn-darmon"],
     ["example", "pn-darmon", "--n", "3", "--m", "2,4,3"],
@@ -299,6 +307,18 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
     *[(["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
         '{"coords": ["8", "9", "1"]}', "--exclude", p],
        f"excluded primes must be primes, got {p}") for p in ("4", "1", "0", "-2")],
+    *[(["decide", "m-approx", "--fan", "p1", "--cond", cond], f"cannot read conditions: {msg}")
+      for cond, msg in (
+          ('{"type": "custom", "vectors": [[0, 0], [-1, 0], [0, -1]]}',
+           "custom multiplicities must be naturals or infinity, got -1"),
+          ('{"type": "custom", "vectors": [[0, 0, 0], [1, 2]]}',
+           "custom multiplicity vectors must all have the same length"),
+          ('[{"type": "campana", "m": true}, {"type": "campana", "m": 2}]',
+           "multiplicity must be an integer or 'inf', got True"),
+          ('[{"type": "finite_set", "values": [true]}, {"type": "any"}]',
+           "FINITE_SET needs a tuple of naturals"),
+          ('{"type": "weak_campana", "m": [true, 2]}',
+           "multiplicity must be an integer or 'inf', got True"))],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)

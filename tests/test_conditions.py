@@ -231,6 +231,16 @@ def test_mred_closure():
     assert not mred_in_closure_of_mfin(ToricPair(P1, ms))
     ms = MultiplicitySet.of([DivisorCondition(Kind.STRICT_DARMON, 2)] * 2)
     assert mred_in_closure_of_mfin(ToricPair(P1, ms))
+    # weak Campana: a multiplicity outside {1, inf} carries the sum past 1
+    assert mred_in_closure_of_mfin(ToricPair(P1, MultiplicitySet.weak_campana([1, 2])))
+    assert not mred_in_closure_of_mfin(ToricPair(P1, MultiplicitySet.weak_campana([1, INF])))
+    # custom: a listed infinite entry on a cone is no limit of listed finite ones
+    assert not mred_in_closure_of_mfin(
+        ToricPair(P1, MultiplicitySet.custom([(0, 0), (2, 0), (INF, 0)])))
+    assert mred_in_closure_of_mfin(ToricPair(P1, MultiplicitySet.custom([(0, 0), (2, 0)])))
+    # (INF, INF) lies on no cone of P^1, so it imposes nothing
+    ms = MultiplicitySet.custom([(0, 0), (2, 0), (INF, INF)])
+    assert mred_in_closure_of_mfin(ToricPair(P1, ms))
 
 
 def test_custom_sets_validated():
@@ -241,6 +251,66 @@ def test_custom_sets_validated():
     ms = MultiplicitySet.custom([(0, 0), (2, 0), (INF, 0)])
     assert ms.admits_vector((2, 0))
     assert not ms.admits_vector((1, 0))
+    for bad in (-1, True, 1.0, "2"):
+        with pytest.raises(ValueError, match="naturals or infinity"):
+            MultiplicitySet.custom([(0, 0), (bad, 0)])
+    with pytest.raises(ValueError, match="same length"):
+        MultiplicitySet.custom([(0, 0, 0), (1, 2)])
+
+
+def test_booleans_are_not_multiplicities():
+    for kind in (Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON):
+        with pytest.raises(ValueError, match="needs m"):
+            DivisorCondition(kind, True)
+    with pytest.raises(ValueError, match="naturals"):
+        DivisorCondition(Kind.FINITE_SET, values=(True,))
+    with pytest.raises(ValueError, match="weak_campana"):
+        MultiplicitySet.weak_campana([True, 2])
+    for obj in ([{"type": "campana", "m": True}], {"type": "weak_campana", "m": [True, 2]},
+                {"type": "custom", "vectors": [[0, 0], [False, 0]]}):
+        with pytest.raises(ValueError, match="integer or 'inf'"):
+            conditions_from_json(obj)
+
+
+def test_describe():
+    ms = MultiplicitySet.of([DivisorCondition(Kind.CAMPANA, 2), DivisorCondition(Kind.DARMON, INF),
+                             DivisorCondition(Kind.FINITE_SET, values=(0, 2)),
+                             DivisorCondition(Kind.SQUAREFREE)])
+    assert ms.describe() == ("campana(2) x darmon(inf) x finite_set([0, 2], inf=False)"
+                             " x squarefree")
+    assert MultiplicitySet.weak_campana([2, INF]).describe() == "weak_campana([2, inf])"
+    assert MultiplicitySet.custom([(0, 0), (2, 0)]).describe().startswith("custom(2 vectors;")
+
+
+def test_custom_generators_match_the_box_search():
+    # on P^2 the finite listed vectors on a cone generate; (1, 1, 1) lies on none
+    ms = MultiplicitySet.custom([(0, 0, 0), (2, 0, 0), (0, 3, 0), (2, 3, 0), (1, 1, 1),
+                                 (INF, 0, 0), (INF, 3, 0)])
+    pair = ToricPair(P2, ms)
+    gens = nm_generators(pair)[0]
+    assert sorted(set(gens)) == _box_generators(P2, ms.admits_vector, 3) == [
+        (0, 3), (2, 0), (2, 3)]
+    inv = pair_invariants(pair)
+    assert (inv.index, inv.cone_full) == (6, False)
+    assert inv.notes == (ms.describe(),)
+
+
+def test_custom_pullback_keeps_the_custom_note():
+    # P(1,1,2): the exceptional ray (0, 1) sits over D_0 and D_1 with
+    # multiplicity 1, so (0, 0, 0, 1) pulls back to (1, 1, 0); (1, 1, 0, 0)
+    # lies on no source cone
+    ms = MultiplicitySet.custom([(0, 0, 0), (1, 1, 0), (0, 0, 1)])
+    pair = ToricPair(weighted_P11r(2), ms)
+    ref = resolve_2d(weighted_P11r(2))
+    coeffs = [inverse_image_coefficients(ref, a) for a in range(3)]
+    W = _box_bound(ms, coeffs)
+    assert W == 2
+    box = _box_generators(ref.source, pulled_back_set(ms, coeffs), W)
+    assert box == [(0, -1), (0, 1)]
+    inv = nm_singular(pair, ref)
+    assert inv.cone_generators == tuple(box)
+    assert (inv.index, inv.cone_full) == (INF, False)
+    assert inv.notes == ("pullback enumeration bound W=2", ms.describe())
 
 
 def test_weak_campana():
@@ -294,3 +364,5 @@ def test_json_parsing():
     ms = conditions_from_json({"type": "custom",
                                "vectors": [[0, 0], [2, 0], ["inf", 0]]})
     assert ms.admits_vector((INF, 0))
+    ms = conditions_from_json({"type": "weak_campana", "m": [2, "inf"]})
+    assert ms == MultiplicitySet.weak_campana([2, INF])

@@ -6,7 +6,8 @@ from math import atan2, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricapprox.intlat import lattice_from_generators, solve_rational
+from oracles import solve_rational
+from toricapprox.intlat import lattice_from_generators
 from toricapprox.fan import (
     Fan,
     _cone_inverses,
@@ -56,6 +57,11 @@ def test_validate_flags_problems():
 def test_smooth_and_complete():
     assert is_smooth(projective_space(2))
     assert not is_smooth(weighted_P11r(2))
+    # a lower-dimensional cone is smooth iff its rays extend to a basis
+    assert is_smooth(Fan.make(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)]))
+    assert not is_smooth(Fan.make(3, [(1, 0, 0), (1, 2, 0)], [(0, 1)]))
+    # dependent rays: not even simplicial
+    assert not is_smooth(Fan.make(2, [(1, 0), (-1, 0)], [(0, 1)]))
     assert is_complete(projective_space(2))
     half = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     assert not is_complete(half)

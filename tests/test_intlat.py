@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import solve_rational
 from toricapprox import intlat
 from toricapprox.intlat import (
     INF,
     cone_contains,
+    cone_coords,
+    cone_inverse,
     cone_is_full,
     hnf,
     lattice_from_generators,
@@ -16,7 +19,6 @@ from toricapprox.intlat import (
     right_inverse,
     snf,
     solve_in_smooth_cone,
-    solve_rational,
 )
 
 
@@ -120,10 +122,66 @@ def test_cone_predicates():
 
 
 def test_solvers():
-    rows = [[1, 2], [3, 4]]
-    assert solve_rational(rows, [5, 11]) == [Fraction(1), Fraction(2)]
     assert solve_in_smooth_cone([(1, 0), (1, 1)], (3, 2)) == (1, 2)
     assert solve_in_smooth_cone([(1, 0), (1, 1)], (1, 2)) is None
+    assert solve_in_smooth_cone([(1, 0, 0)], (2, 0, 0)) == (2,)
+    assert solve_in_smooth_cone([(1, 0, 0)], (2, 1, 0)) is None
+    assert solve_in_smooth_cone([], (0, 0)) == ()
+    assert solve_in_smooth_cone([], (1, 0)) is None
+    for rays in ([(1, 0), (1, 2)], [(1, 0), (-1, 0)], [(2, 0, 0)]):
+        with pytest.raises(ValueError, match="unimodular"):
+            solve_in_smooth_cone(rays, (0,) * len(rays[0]))
+
+
+def _determinantal_divisors(rays):
+    """[d_0, d_1, ...]: d_j is the gcd of the j x j minors of the ray matrix,
+    up to its rank (a test oracle for the invariant factors s_j = d_j / d_(j-1))."""
+    import itertools
+    import math
+    out = [1]
+    for j in range(1, min(len(rays), len(rays[0]) if rays else 0) + 1):
+        g = 0
+        for rows in itertools.combinations(rays, j):
+            for cols in itertools.combinations(range(len(rays[0])), j):
+                g = math.gcd(g, int(det([[r[c] for c in cols] for r in rows])))
+        if g == 0:
+            break
+        out.append(g)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_cone_inverse_matches_the_exact_solver(d, data):
+    """On up to d rays, independent or not, spanning or not, unimodular or
+    not: N v = 0 iff the Gauss-Jordan solve of sum x_i r_i = v is consistent,
+    and then A v / D are its coordinates; D is the last invariant factor and
+    len(N) = d - rank, so the cone is unimodular iff D = 1 and len(N) = d - k."""
+    vec = st.tuples(*[st.integers(-4, 4)] * d)
+    rays = data.draw(st.lists(vec.filter(any), max_size=d))
+    if rays and data.draw(st.booleans()):  # a vector in the cone, maybe pushed off it
+        coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(rays), max_size=len(rays)))
+        v = [sum(a * r[i] for a, r in zip(coeffs, rays)) for i in range(d)]
+        if data.draw(st.booleans()):
+            v = [x + y for x, y in zip(v, data.draw(vec))]
+    else:
+        v = data.draw(vec)
+    A, D, N = inverse = cone_inverse(rays, d)
+    dets = _determinantal_divisors(rays)
+    r = len(dets) - 1
+    assert r == rank(rays)
+    assert D == (dets[-1] // dets[-2] if r else 1)
+    assert len(A) == len(rays) and len(N) == d - r
+    x = solve_rational([[ray[i] for ray in rays] for i in range(d)], v) if rays else (
+        None if any(v) else [])
+    assert (x is not None) == all(sum(a * b for a, b in zip(n, v)) == 0 for n in N)
+    if x is not None and r == len(rays):
+        got = [Fraction(sum(a * b for a, b in zip(row, v)), D) for row in A]
+        assert got == x
+        want = None if any(xi < 0 for xi in x) else tuple(int(xi * D) for xi in x)
+        assert cone_coords(inverse, v) == want
+    unimodular = r == len(rays) and dets[-1] == 1
+    assert (D == 1 and len(N) == d - len(rays)) == unimodular
 
 
 @settings(max_examples=60, deadline=None)
