@@ -123,19 +123,14 @@ def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("recombination needs per-divisor multiplicities")
-    gens = []
-    for i, cond in enumerate(pair.conditions.conditions):
-        for w in cond.finite_slice():
-            vec = [0] * len(fan.rays)
-            vec[i] = w
-            gens.append(tuple(vec))
+    gens = pair.conditions.single_ray_vectors()
     cols = [_phi(fan, m) for m in gens]
     gamma = tuple(tuple(c[j] for c in cols) for j in range(fan.dim))
     rinv = right_inverse(gamma)
     if rinv is None:
         raise ValueError("N_M is a proper sublattice of N (index != 1): "
                          "the recombination construction does not apply")
-    return GammaData(tuple(gens), gamma, rinv)
+    return GammaData(gens, gamma, rinv)
 
 
 def _characters(fan, coords) -> list:
@@ -255,7 +250,7 @@ def m_point_approximate(pair: ToricPair, targets: dict,
                 s_prime |= set(factorize(c.denominator))
         s_prime = tuple(sorted(s_prime))
         witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
-                                       {}, s_prime, point)
+                                       {}, s_prime)
         closeness = tuple(
             (p, targets[p][1],
              _closeness_valuation(pair, p, coords, targets[p][0].coords))

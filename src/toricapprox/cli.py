@@ -84,7 +84,7 @@ def _parse_mult(token: str):
     return INF if token in ("inf", "oo") else int(token)
 
 
-def parse_conditions(args, n_rays: int) -> MultiplicitySet:
+def parse_conditions(args) -> MultiplicitySet:
     if args.darmon:
         return darmon([_parse_mult(t) for t in args.darmon.split(",")])
     if args.campana:
@@ -147,7 +147,7 @@ def cmd_validate(args) -> int:
     fan = parse_fan(args.fan)
     print("fan ok" if not args.json else json.dumps({"valid": True}))
     if args.cond or args.darmon or args.campana:
-        ms = parse_conditions(args, len(fan.rays))
+        ms = parse_conditions(args)
         ToricPair(fan, ms)  # arity check
         print("conditions ok" if not args.json else json.dumps({"conditions": True}))
     return 0
@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     obj = invariants_of(pair).to_json()
     if args.json:
         print(json.dumps(obj, indent=2))
@@ -173,7 +173,7 @@ def cmd_decide(args) -> int:
         removed = [int(x) for x in args.removed.split(",")] if args.removed else []
         v = decide_strong_approx(fan, removed, field, T_nonempty)
         return _emit_verdict(v, args)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     if args.what == "m-approx":
         v = decide_m_approx(pair, field, T_nonempty)
     elif args.what == "integral":
@@ -225,7 +225,7 @@ def cmd_pi1(args) -> int:
 
 def cmd_check_point(args) -> int:
     fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     P = parse_point(fan, args.point)
     excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
     for p in excluded:
@@ -251,7 +251,7 @@ def cmd_approximate(args) -> int:
     from .approx import m_point_approximate
 
     fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     cert = m_point_approximate(pair, parse_targets(fan, args.targets))
     if args.json:
         print(json.dumps(cert.to_json(), indent=2))
@@ -267,7 +267,7 @@ def cmd_enumerate(args) -> int:
     from .enumerate import census_to_csv, enumerate_projective, enumerate_toric
 
     fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     if args.interior:
         census = enumerate_toric(pair, args.height)
     else:
@@ -286,7 +286,7 @@ def cmd_crosscheck(args) -> int:
     from .enumerate import crosscheck
 
     fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args, len(fan.rays)))
+    pair = ToricPair(fan, parse_conditions(args))
     rep = crosscheck(pair, args.height)
     if args.json:
         print(json.dumps({"checked": rep.checked, "ok": rep.ok,

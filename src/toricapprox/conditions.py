@@ -165,6 +165,12 @@ class MultiplicitySet(NamedTuple):
             return len(self.weak_m)
         return len(self.vectors[0]) if self.vectors else 0
 
+    def single_ray_vectors(self) -> tuple:
+        """PRODUCT sets: w e_i for each ray i and each w in its finite slice."""
+        n = len(self.conditions)
+        return tuple(tuple(w if j == i else 0 for j in range(n))
+                     for i, cond in enumerate(self.conditions) for w in cond.finite_slice())
+
     def admits_vector(self, w: Sequence) -> bool:
         """Membership of a multiplicity vector, ignoring the support condition."""
         if self.variant is Variant.PRODUCT:
@@ -291,11 +297,7 @@ def nm_generators(pair: ToricPair):
     if ms.variant is Variant.PRODUCT:
         # single-ray slices suffice: 0 is admissible at every divisor, so any
         # admissible vector is a sum of admissible single-ray vectors
-        for i, cond in enumerate(ms.conditions):
-            for w in cond.finite_slice():
-                vec = [0] * len(fan.rays)
-                vec[i] = w
-                gens.append(_phi(fan, vec))
+        gens = [_phi(fan, v) for v in ms.single_ray_vectors()]
     elif ms.variant is Variant.WEAK_CAMPANA:
         n = len(fan.rays)
         gens = _weak_campana_generators(

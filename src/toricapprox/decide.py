@@ -22,7 +22,7 @@ from .conditions import (
     nm_singular,
     pair_invariants,
 )
-from .fan import Fan, is_smooth, resolve_2d
+from .fan import Fan, is_complete, is_smooth, resolve_2d
 from .fields import (
     FieldDescriptor,
     FieldFlags,
@@ -64,7 +64,10 @@ class Verdict(NamedTuple):
 
 
 def invariants_of(pair: ToricPair) -> PairInvariants:
-    """Pair invariants, routing singular surfaces through their minimal resolution."""
+    """Pair invariants of a complete fan, routing singular surfaces through
+    their minimal resolution."""
+    if not is_complete(pair.fan):
+        raise ValueError("verdicts need a complete fan: the maximal cones do not cover N_R")
     if is_smooth(pair.fan):
         return pair_invariants(pair)
     if pair.fan.dim != 2:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from functools import lru_cache
 from itertools import product as _iter_product
 from math import gcd
@@ -90,7 +89,7 @@ def _sign_group(fan) -> tuple:
 
 def canonical_interior(pair: ToricPair, coords, vectors: tuple) -> tuple:
     """Canonical orbit representative of the interior point with Cox
-    coordinates coords from its multiplicity vectors (multiplicity_vectors):
+    coordinates coords from its multiplicity vectors (m_point_check):
     per-prime multiplicity magnitudes, then the minimal sign pattern."""
     fan = pair.fan
     mags = [1] * len(fan.rays)
@@ -185,10 +184,6 @@ def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
         if fan_v != oracle_v:
             divergences.append((tup, fan_v, oracle_v))
     return CrosscheckReport(checked, tuple(divergences))
-
-
-def census_to_json(c: Census) -> str:
-    return json.dumps(c.to_json(), indent=2)
 
 
 def census_to_csv(c: Census) -> str:

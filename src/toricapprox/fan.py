@@ -1,9 +1,8 @@
 """Combinatorial model of split toric varieties.
 
 Fans with primitive ray generators and simplicial maximal cones, smoothness and
-completeness tests, class groups, stellar subdivision, the 2-D minimal
-resolution, and inverse-image coefficients of torus-invariant divisors along
-refinements.
+completeness tests, the 2-D minimal resolution, and inverse-image coefficients
+of torus-invariant divisors along refinements.
 """
 from __future__ import annotations
 
@@ -15,13 +14,11 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from .intlat import (
-    QuotientStructure,
     _dot,
     _lp_feasible,
     cone_coords,
     cone_inverse,
     lattice_from_generators,
-    quotient_invariants,
     rank,
 )
 
@@ -155,10 +152,10 @@ def is_smooth(f: Fan) -> bool:
 
 @lru_cache(maxsize=256)
 def is_complete(f: Fan) -> bool:
-    """Wall-pairing completeness test for pure d-dimensional simplicial fans."""
-    if any(len(c) != f.dim for c in f.max_cones):
-        raise ValueError("completeness undecided for non-pure fan")
-    if not f.max_cones:
+    """Wall-pairing completeness test for simplicial fans.  A maximal cone s of
+    dimension below d is never covered: a cone t meeting the relative interior
+    of s meets s in a common face, which is then s, a proper face of t."""
+    if not f.max_cones or any(len(c) != f.dim for c in f.max_cones):
         return False
     walls: dict = {}
     for c in f.max_cones:
@@ -209,20 +206,7 @@ def weighted_P11r(r: int) -> Fan:
 
 
 # ---------------------------------------------------------------------------
-# Class group
-# ---------------------------------------------------------------------------
-
-def class_group(f: Fan) -> QuotientStructure:
-    """Structure of Z^rays / image of the dual lattice (coker of N^v -> Z^Sigma(1))."""
-    n = len(f.rays)
-    if rank(f.rays) < f.dim:
-        raise ValueError("rays do not span R^d; class group not defined here")
-    cols = [[f.rays[i][j] for i in range(n)] for j in range(f.dim)]
-    return quotient_invariants(lattice_from_generators(cols, n), n)
-
-
-# ---------------------------------------------------------------------------
-# Cone location and subdivision
+# Cone location and resolution
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -251,29 +235,6 @@ def minimal_cone_containing(f: Fan, v: Sequence[int]):
         return ()
     hit = max_cone_coords(f, v)
     return None if hit is None else tuple(i for i, xi in zip(hit[0], hit[1]) if xi > 0)
-
-
-def stellar_subdivide(f: Fan, new_ray: Sequence[int]) -> RefinementMap:
-    """Star subdivision of f at a primitive vector inside its support."""
-    v = tuple(int(x) for x in new_ray)
-    if not _is_primitive(v):
-        raise ValueError("new ray must be primitive")
-    if v in f.rays:
-        raise ValueError("vector is already a ray of the fan")
-    coords = [(c, cone_coords(inverse, v))
-              for c, inverse in zip(f.max_cones, _cone_inverses(f))]
-    hits = [(c, x) for c, x in coords if x is not None]
-    if not hits:
-        raise ValueError("new ray lies outside the support of the fan")
-    rays = list(f.rays) + [v]
-    vi = len(f.rays)
-    new_cones = [c for c, x in coords if x is None]
-    for c, x in hits:
-        for i, xi in zip(c, x):
-            if xi > 0:
-                new_cones.append(tuple(sorted(set(c) - {i} | {vi})))
-    source = Fan.make(f.dim, rays, sorted(set(new_cones)))
-    return RefinementMap(source, f, tuple(range(len(f.rays))))
 
 
 def _xgcd(a: int, b: int):
@@ -350,10 +311,6 @@ def resolve_2d(f: Fan) -> RefinementMap:
             new_cones.append(tuple(sorted((a, b))))
     source = Fan.make(2, rays, sorted(set(new_cones)))
     return RefinementMap(source, f, tuple(range(len(f.rays))))
-
-
-def identity_refinement(f: Fan) -> RefinementMap:
-    return RefinementMap(f, f, tuple(range(len(f.rays))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, cycle
-from math import gcd, isqrt, lcm
+from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, max_cone_coords
@@ -191,30 +191,21 @@ def _is_projective_space(fan: Fan) -> bool:
     return set(fan.rays) == want
 
 
-def _coprime_integer_rep(coords) -> tuple:
-    """Scale projective coordinates to coprime integers."""
-    den = lcm(*[c.denominator for c in coords])
-    ints = [int(c * den) for c in coords]
-    g = gcd(*[abs(a) for a in ints])
-    return tuple(a // g for a in ints)
-
-
-def mult_at_prime(p: int, P: CoxPoint):
-    """Intersection multiplicities with the invariant divisors at the prime p."""
-    fan = P.fan
-    zeros = P.zero_support()
-    if zeros:
+def _multiplicities(fan: Fan, key: tuple) -> tuple:
+    """The multiplicity vector of a valuation key (see m_point_check) on fan:
+    a boundary key (INF on the zero set) itself, else the cone coordinates of
+    the key's phi-image."""
+    if INF in key:
         # boundary points are supported on projective space only, where the
         # vanishing divisors carry infinite multiplicity
         if not _is_projective_space(fan):
             raise ValueError("boundary multiplicities implemented for projective "
                              "space only; general fans need the interior case")
-        ints = _coprime_integer_rep(P.coords)
-        return tuple(INF if a == 0 else v_p(a, p) for a in ints)
+        return key
     if not (is_smooth(fan) and is_complete(fan)):
         raise ValueError("multiplicities need a smooth complete fan "
                          "(representative independence)")
-    u = _phi(fan, [v_p(c, p) for c in P.coords])
+    u = _phi(fan, key)
     hit = max_cone_coords(fan, u)
     if hit is None or any(x % hit[2] for x in hit[1]):
         raise AssertionError(f"{u} has no integral coordinates on a maximal cone "
@@ -226,11 +217,25 @@ def mult_at_prime(p: int, P: CoxPoint):
     return tuple(out)
 
 
+def _boundary_key(v, zeros: int) -> tuple:
+    """The valuation key of a boundary point: INF on the zero set (bit i of
+    zeros set), each other valuation in v less the least of them."""
+    low = min(x for i, x in enumerate(v) if not zeros >> i & 1)
+    return tuple([INF if zeros >> i & 1 else x - low for i, x in enumerate(v)])
+
+
+def mult_at_prime(p: int, P: CoxPoint):
+    """Intersection multiplicities with the invariant divisors at the prime p."""
+    v = [v_p(c, p) if c else 0 for c in P.coords]
+    zeros = sum(1 << i for i in P.zero_support())
+    return _multiplicities(P.fan, _boundary_key(v, zeros) if zeros else tuple(v))
+
+
 @lru_cache(maxsize=256)
 def _mult_memo(fan: Fan) -> dict:
     """The multiplicity vectors found on one fan, keyed by valuation key (see
-    m_point_check): the vector depends on the key alone.  Only mult_at_prime
-    adds entries, so a fan it rejects gets none."""
+    m_point_check): the vector depends on the key alone.  Each entry comes
+    from _multiplicities, so a fan it rejects gets none."""
     return {}
 
 
@@ -243,8 +248,7 @@ class MPointWitness(NamedTuple):
 _YES = MPointWitness(True)
 
 
-def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
-                  point: Optional[CoxPoint] = None) -> tuple:
+def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -> tuple:
     """The M-point verdict of the point with Cox coordinates coords on fan, at
     every prime outside skip: (witness, multiplicity vectors).
 
@@ -252,15 +256,14 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
     denominator is factored once into the valuation vector (v_p(x_i))_i of
     every prime p dividing one.  Its key is the vector itself at an interior
     point; at a boundary point it is INF on the zero set and each finite entry
-    less the least finite one, which is what mult_at_prime reads off the
-    coprime integer representative.  The per-fan memo maps a key to its
-    multiplicity vector; a key not in it goes once through mult_at_prime, on
-    point or a CoxPoint built from coords.  verdicts maps a key to
-    (admits(vector), vector); a caller may keep it across points of one
-    multiplicity set.  At a boundary point the generic vector (INF on the zero
-    set, 0 elsewhere) is checked first, and a failure there returns at once
-    with vectors None.  The witness names the least failing prime; vectors
-    holds (p, vector) at every prime outside skip, ascending.
+    less the least finite one, which is the valuation vector of the coprime
+    integer representative.  The per-fan memo maps a key to its multiplicity
+    vector; a key not in it goes once through _multiplicities.  verdicts maps
+    a key to (admits(vector), vector); a caller may keep it across points of
+    one multiplicity set.  At a boundary point the generic vector (INF on the
+    zero set, 0 elsewhere) is checked first, and a failure there returns at
+    once with vectors None.  The witness names the least failing prime;
+    vectors holds (p, vector) at every prime outside skip, ascending.
     """
     n = len(coords)
     zeros = 0  # bit i set iff coords[i] == 0; an int never equals a tuple key
@@ -282,7 +285,7 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(),
             memo = _mult_memo(fan)
             mv = memo.get(key)
             if mv is None:
-                mv = memo[key] = mult_at_prime(p, point or CoxPoint.make(fan, coords))
+                mv = memo[key] = _multiplicities(fan, key)
             hit = verdicts[key] = (admits(mv), mv)
         if not hit[0] and witness.ok:
             witness = MPointWitness(False, p, hit[1])
@@ -308,22 +311,8 @@ def _valuation_keys(coords, zeros: int, skip) -> list:
         if p in skip:
             continue
         v = vals[p]
-        if zeros:
-            low = min(x for i, x in enumerate(v) if not zeros >> i & 1)
-            v = [INF if zeros >> i & 1 else x - low for i, x in enumerate(v)]
-        keys.append((p, tuple(v)))
+        keys.append((p, _boundary_key(v, zeros) if zeros else tuple(v)))
     return keys
-
-
-def _admit_all(vector) -> bool:
-    return True
-
-
-def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
-    """((p, multiplicity vector), ...) over the primes not in skip that divide
-    some numerator or denominator of the coordinates, ascending, read through
-    the per-fan memo at interior and boundary points alike (m_point_check)."""
-    return m_point_check(P.fan, P.coords, _admit_all, {}, skip, P)[1]
 
 
 def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitness:
@@ -332,7 +321,7 @@ def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitnes
     if P.fan != pair.fan:
         raise ValueError("point and pair live on different fans")
     return m_point_check(P.fan, P.coords, pair.conditions.admits_vector, {},
-                         excluded_primes, P)[0]
+                         excluded_primes)[0]
 
 
 # ---------------------------------------------------------------------------

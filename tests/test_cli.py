@@ -215,6 +215,7 @@ def test_internal_defects_exit_3(capsys, monkeypatch, exc, msg):
 
 
 HANG_PRIME = 999999999989  # the largest prime below 10^12
+INCOMPLETE_FAN = '{"dim":2,"rays":[[1,0],[0,1],[-1,-1]],"max_cones":[[0,1],[1,2]]}'
 BIG_N = 1000000007 * 1000000009
 
 
@@ -319,6 +320,12 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
            "FINITE_SET needs a tuple of naturals"),
           ('{"type": "weak_campana", "m": [true, 2]}',
            "multiplicity must be an integer or 'inf', got True"))],
+    # a fan whose support is a proper cone: every verdict assumes a complete fan
+    *[(argv + ["--fan", INCOMPLETE_FAN],
+       "verdicts need a complete fan: the maximal cones do not cover N_R")
+      for argv in (["decide", "m-approx", "--darmon", "1,1,1"],
+                   ["analyze", "--darmon", "2,2,2"],
+                   ["decide", "thinness", "--darmon", "2,2,2"])],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)

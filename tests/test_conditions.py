@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import identity_refinement, stellar_subdivide
 from toricapprox import conditions as conditions_module
 from toricapprox import fan as fan_module
 from toricapprox.conditions import (
@@ -27,11 +28,9 @@ from toricapprox.conditions import (
 from toricapprox.fan import (
     Fan,
     hirzebruch,
-    identity_refinement,
     inverse_image_coefficients,
     projective_space,
     resolve_2d,
-    stellar_subdivide,
     weighted_P11r,
 )
 from toricapprox.intlat import INF, cone_is_full

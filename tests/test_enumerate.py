@@ -17,7 +17,6 @@ from toricapprox.enumerate import (
     _sign_group,
     canonical_interior,
     census_to_csv,
-    census_to_json,
     crosscheck,
     enumerate_projective,
     enumerate_toric,
@@ -31,13 +30,19 @@ from toricapprox.points import (
     is_m_full,
     is_m_point,
     is_perfect_power,
-    multiplicity_vectors,
+    m_point_check,
     torus_kernel_basis,
     v_p,
 )
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+
+
+def multiplicity_vectors(P):
+    """((p, multiplicity vector), ...) at the primes of P, as the M-point core
+    reads them."""
+    return m_point_check(P.fan, P.coords, lambda v: True, {})[1]
 
 
 def coprime_box(n, H):
@@ -137,7 +142,7 @@ def test_crosscheck_squarefree_p2():
 def test_emitters():
     pair = ToricPair(P1, campana([2, 2]))
     census = enumerate_projective(pair, 2)
-    obj = json.loads(census_to_json(census))
+    obj = json.loads(json.dumps(census.to_json()))
     assert obj["count"] == census.count
     assert "normalization_note" in obj
     text = census_to_csv(census)
@@ -161,20 +166,20 @@ def test_sign_group_is_cached_per_fan(fan):
 
 
 def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
-    """One job reaches mult_at_prime once per distinct valuation vector in its
-    box, though every tuple's vectors are read, for its verdict and, when it
-    is admissible, for its orbit's canonical representative."""
+    """One job reaches _multiplicities once per distinct valuation vector in
+    its box, though every tuple's vectors are read, for its verdict and, when
+    it is admissible, for its orbit's canonical representative."""
     pair = ToricPair(fan_product(P1, P1), darmon([2, 3, 2, 3]))
     H = 5
     points._mult_memo.cache_clear()
     seen = []
-    real = points.mult_at_prime
+    real = points._multiplicities
 
-    def counting(p, P):
-        seen.append(tuple(v_p(c, p) for c in P.coords))
-        return real(p, P)
+    def counting(fan, key):
+        seen.append(key)
+        return real(fan, key)
 
-    monkeypatch.setattr(points, "mult_at_prime", counting)
+    monkeypatch.setattr(points, "_multiplicities", counting)
     enumerate_toric(pair, H)
     vals = [*range(-H, 0), *range(1, H + 1)]
     distinct = {tuple(v_p(a, p) for a in tup)
@@ -187,19 +192,21 @@ def test_toric_census_computes_each_valuation_vector_once(monkeypatch):
 @pytest.mark.parametrize("job", [enumerate_projective, crosscheck])
 def test_projective_census_computes_each_valuation_key_once(monkeypatch, job):
     """Boundary points go through the per-fan memo as interior ones do: one
-    mult_at_prime call per distinct key, INF on the zero set of a coprime
-    integer tuple and its valuations elsewhere."""
+    _multiplicities call per distinct key, INF on the zero set of a coprime
+    integer tuple and its valuations elsewhere, and each key is its own
+    multiplicity vector."""
     pair = ToricPair(P2, darmon([2, 3, 2]))
     H = 6
     points._mult_memo.cache_clear()
     seen = []
-    real = points.mult_at_prime
+    real = points._multiplicities
 
-    def counting(p, P):
-        seen.append(real(p, P))
-        return seen[-1]
+    def counting(fan, key):
+        seen.append(key)
+        assert real(fan, key) == key
+        return key
 
-    monkeypatch.setattr(points, "mult_at_prime", counting)
+    monkeypatch.setattr(points, "_multiplicities", counting)
     job(pair, H)
     distinct = {tuple(INF if a == 0 else v_p(a, p) for a in tup)
                 for tup in coprime_box(3, H)
@@ -217,7 +224,7 @@ def test_projective_census_computes_each_valuation_key_once(monkeypatch, job):
 ])
 def test_census_unchanged_when_the_memo_is_cleared_before_every_tuple(monkeypatch, job):
     """Each tuple reaches m_point_check with the per-fan memo empty and a
-    fresh verdict dict, so every vector comes from mult_at_prime again."""
+    fresh verdict dict, so every vector comes from _multiplicities again."""
     want = job()
     real = points.m_point_check
     tuples = []

