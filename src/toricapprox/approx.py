@@ -20,6 +20,8 @@ from .points import (CoxPoint, MPointWitness, RetriesExhausted, ScanCapExhausted
                      factorize, is_m_point, is_squarefree, m_point_check, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
+# m_point_approximate retries this often, each time with more guard digits
+MAX_RETRIES = 5
 
 
 class LocalConstraint(namedtuple("LocalConstraint", "p target k")):
@@ -144,8 +146,7 @@ def _characters(fan, coords) -> list:
     return out
 
 
-def solve_local_exponents(pair: ToricPair, gd: GammaData, p: int,
-                          target: CoxPoint) -> list:
+def solve_local_exponents(pair: ToricPair, gd: GammaData, target: CoxPoint) -> list:
     """Rationals c_s with prod_s c_s^(m_s) equal to the target modulo G."""
     if target.zero_support():
         raise ValueError("targets must have all-nonzero coordinates")
@@ -204,8 +205,7 @@ def _closeness_valuation(pair, p, Q_coords, target_coords):
     return worst
 
 
-def m_point_approximate(pair: ToricPair, targets: dict,
-                        max_retries: int = 5) -> ApproxCertificate:
+def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     """An M-point p-adically close to each target, with a recomputed certificate.
 
     targets maps a prime to (CoxPoint, digits).  Requires a smooth complete fan
@@ -223,11 +223,11 @@ def m_point_approximate(pair: ToricPair, targets: dict,
     primes = sorted(targets)
     # guard digits cover the ultrametric loss when multiplying Sum m_(s,i) factors
     msum = max(sum(m[i] for m in gd.generators) for i in range(len(fan.rays)))
-    cs_by_prime = {p: solve_local_exponents(pair, gd, p, targets[p][0])
+    cs_by_prime = {p: solve_local_exponents(pair, gd, targets[p][0])
                    for p in primes}
     extra = 0
     cert = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         lifts = []
         chosen_ints = []
         for s in range(len(gd.generators)):
@@ -260,5 +260,5 @@ def m_point_approximate(pair: ToricPair, targets: dict,
             return cert
         extra = 2 * extra if extra else 2
     raise RetriesExhausted(
-        f"no verified point after {max_retries + 1} attempts; last certificate: "
+        f"no verified point after {MAX_RETRIES + 1} attempts; last certificate: "
         f"{cert.to_json()}")

@@ -138,25 +138,29 @@ def _emit_verdict(v: Verdict, args) -> int:
         print(f"{v.property}: {v.holds.value.upper()}")
         for r in v.reasons:
             print(f"  - {r}")
-    if getattr(args, "assert_", False) and v.holds is Holds.NO:
+    if args.assert_ and v.holds is Holds.NO:
         return 1
     return 0
 
 
+def _pair(args) -> ToricPair:
+    return ToricPair(parse_fan(args.fan), parse_conditions(args))
+
+
 def cmd_validate(args) -> int:
     fan = parse_fan(args.fan)
-    print("fan ok" if not args.json else json.dumps({"valid": True}))
-    if args.cond or args.darmon or args.campana:
-        ms = parse_conditions(args)
-        ToricPair(fan, ms)  # arity check
-        print("conditions ok" if not args.json else json.dumps({"conditions": True}))
+    given = bool(args.cond or args.darmon or args.campana)
+    if given:
+        ToricPair(fan, parse_conditions(args))  # arity check
+    if args.json:
+        print(json.dumps({"valid": True, "conditions": True} if given else {"valid": True}))
+    else:
+        print("fan ok\nconditions ok" if given else "fan ok")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args))
-    obj = invariants_of(pair).to_json()
+    obj = invariants_of(_pair(args)).to_json()
     if args.json:
         print(json.dumps(obj, indent=2))
     else:
@@ -168,41 +172,36 @@ def cmd_analyze(args) -> int:
 def cmd_decide(args) -> int:
     fan = parse_fan(args.fan)
     field = parse_field(args.field)
-    T_nonempty = not args.everywhere
     if args.what == "strong-approx":
         removed = [int(x) for x in args.removed.split(",")] if args.removed else []
-        v = decide_strong_approx(fan, removed, field, T_nonempty)
-        return _emit_verdict(v, args)
+        return _emit_verdict(decide_strong_approx(fan, removed, field, not args.everywhere),
+                             args)
     pair = ToricPair(fan, parse_conditions(args))
-    if args.what == "m-approx":
-        v = decide_m_approx(pair, field, T_nonempty)
-    elif args.what == "integral":
-        v = decide_integral_m_approx(pair, field, T_nonempty)
-    elif args.what in ("thinness", "hilbert"):
+    if args.what == "thinness":
         rep = classify_thinness(pair, field, B_equals_C=args.b_equals_c,
-                                T_nonempty=T_nonempty)
-        if args.what == "thinness":
-            if args.json:
-                print(json.dumps(rep.to_json(), indent=2))
-            else:
-                print(f"thinness: {rep.classification.value}"
-                      + (f" d={list(rep.d_list)}" if rep.d_list else ""))
-                print(f"zariski_dense: {rep.zariski_dense.value}")
-                for r in rep.reasons:
-                    print(f"  - {r}")
-            return 0
-        # hilbert: over a global field the M-Hilbert property is equivalent to
-        # M-approximation off T
-        if not field.is_global():
-            v = Verdict("m_hilbert_property", Holds.UNKNOWN,
-                        ("the equivalence with M-approximation is stated over "
-                         "global fields",))
+                                T_nonempty=not args.everywhere)
+        if args.json:
+            print(json.dumps(rep.to_json(), indent=2))
         else:
-            inner = decide_m_approx(pair, field, True)
-            v = Verdict("m_hilbert_property", inner.holds, inner.reasons,
-                        inner.invariants)
+            print(f"thinness: {rep.classification.value}"
+                  + (f" d={list(rep.d_list)}" if rep.d_list else ""))
+            print(f"zariski_dense: {rep.zariski_dense.value}")
+            for r in rep.reasons:
+                print(f"  - {r}")
+        return 0
+    if args.what != "hilbert":
+        decide = decide_m_approx if args.what == "m-approx" else decide_integral_m_approx
+        return _emit_verdict(decide(pair, field, not args.everywhere), args)
+    # over a global field the M-Hilbert property is equivalent to
+    # M-approximation off T
+    if field.is_global():
+        inner = decide_m_approx(pair, field, True)
+        v = Verdict("m_hilbert_property", inner.holds, inner.reasons, inner.invariants)
     else:
-        raise InputError(f"unknown decision {args.what!r}")
+        invariants_of(pair)  # the verdict still assumes a complete fan
+        v = Verdict("m_hilbert_property", Holds.UNKNOWN,
+                    ("the equivalence with M-approximation is stated over "
+                     "global fields",))
     return _emit_verdict(v, args)
 
 
@@ -224,9 +223,8 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_check_point(args) -> int:
-    fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args))
-    P = parse_point(fan, args.point)
+    pair = _pair(args)
+    P = parse_point(pair.fan, args.point)
     excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
     for p in excluded:
         if not is_prime(p):
@@ -250,9 +248,8 @@ def cmd_check_point(args) -> int:
 def cmd_approximate(args) -> int:
     from .approx import m_point_approximate
 
-    fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args))
-    cert = m_point_approximate(pair, parse_targets(fan, args.targets))
+    pair = _pair(args)
+    cert = m_point_approximate(pair, parse_targets(pair.fan, args.targets))
     if args.json:
         print(json.dumps(cert.to_json(), indent=2))
     else:
@@ -266,8 +263,7 @@ def cmd_approximate(args) -> int:
 def cmd_enumerate(args) -> int:
     from .enumerate import census_to_csv, enumerate_projective, enumerate_toric
 
-    fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args))
+    pair = _pair(args)
     if args.interior:
         census = enumerate_toric(pair, args.height)
     else:
@@ -285,9 +281,7 @@ def cmd_enumerate(args) -> int:
 def cmd_crosscheck(args) -> int:
     from .enumerate import crosscheck
 
-    fan = parse_fan(args.fan)
-    pair = ToricPair(fan, parse_conditions(args))
-    rep = crosscheck(pair, args.height)
+    rep = crosscheck(_pair(args), args.height)
     if args.json:
         print(json.dumps({"checked": rep.checked, "ok": rep.ok,
                           "divergences": [list(map(str, d)) for d in rep.divergences]}))
@@ -344,15 +338,9 @@ def example_catalog(name: str, params: dict):
 
 
 def cmd_example(args) -> int:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.r is not None:
-        params["r"] = args.r
-    if args.m is not None:
-        params["m"] = tuple(_parse_mult(t) for t in args.m.split(","))
-    if args.d is not None:
-        params["d"] = args.d
+    params = {k: v for k, v in vars(args).items() if k in ("n", "r", "m", "d") and v is not None}
+    if "m" in params:
+        params["m"] = tuple(_parse_mult(t) for t in params["m"].split(","))
     fan, ms, field, expected = example_catalog(args.name, params)
     pair = ToricPair(fan, ms)
     v = decide_m_approx(pair, field, True)
@@ -378,21 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, cond=True, field=False):
+    def common(sp, cond=True):
+        """--fan, --json and, with cond, at most one of the three condition
+        flags; returns the output-format group that holds --json."""
         sp.add_argument("--fan", required=True,
                         help="builtin shorthand (p2, p1xp1, hirzebruch:2, p11r:3) "
                         "or fan JSON (inline or path)")
-        sp.add_argument("--json", action="store_true", help="machine output")
+        output = sp.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="machine output")
         if cond:
-            sp.add_argument("--cond", help="multiplicity set JSON (inline or path)")
-            sp.add_argument("--darmon", help="comma list of m (or inf) per ray")
-            sp.add_argument("--campana", help="comma list of m (or inf) per ray")
-        if field:
-            sp.add_argument("--field", help="field JSON or 'q' (default: Q)")
-            sp.add_argument("--everywhere", action="store_true",
-                            help="T empty: approximation at the full place set")
-            sp.add_argument("--assert", dest="assert_", action="store_true",
-                            help="exit 1 on a NO verdict")
+            given = sp.add_mutually_exclusive_group()
+            given.add_argument("--cond", help="multiplicity set JSON (inline or path)")
+            given.add_argument("--darmon", help="comma list of m (or inf) per ray")
+            given.add_argument("--campana", help="comma list of m (or inf) per ray")
+        return output
 
     sp = sub.add_parser("validate", help="check a fan (and optional conditions)")
     common(sp)
@@ -403,13 +390,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("decide", help="theorem-level verdicts")
-    sp.add_argument("what", choices=["m-approx", "strong-approx", "integral",
-                                     "thinness", "hilbert"])
-    common(sp, field=True)
-    sp.add_argument("--removed", help="ray indices to remove (strong-approx)")
-    sp.add_argument("--b-equals-c", action="store_true",
-                    help="the model is proper (B = C, function fields)")
-    sp.set_defaults(func=cmd_decide)
+    verdicts = sp.add_subparsers(dest="what", required=True)
+    # each verdict: conditions?, --everywhere?, --assert?, the flags it alone reads
+    for what, cond, everywhere, assert_, own in (
+            ("m-approx", True, True, True, {}),
+            ("strong-approx", False, True, True,
+             {"--removed": dict(help="comma list of ray indices to remove")}),
+            ("integral", True, True, True, {}),
+            ("thinness", True, True, False,
+             {"--b-equals-c": dict(action="store_true",
+                                   help="the model is proper (B = C, function fields)")}),
+            ("hilbert", True, False, True, {})):
+        vp = verdicts.add_parser(what)
+        common(vp, cond)
+        vp.add_argument("--field", help="field JSON or 'q' (default: Q)")
+        if everywhere:
+            vp.add_argument("--everywhere", action="store_true",
+                            help="T empty: approximation at the full place set")
+        if assert_:
+            vp.add_argument("--assert", dest="assert_", action="store_true",
+                            help="exit 1 on a NO verdict")
+        for flag, kwargs in own.items():
+            vp.add_argument(flag, **kwargs)
+        vp.set_defaults(func=cmd_decide)
 
     sp = sub.add_parser("pi1", help="fundamental group of the root stack")
     sp.add_argument("--fan", required=True)
@@ -432,11 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_approximate)
 
     sp = sub.add_parser("enumerate", help="bounded-height census")
-    common(sp)
+    common(sp).add_argument("--csv", action="store_true")
     sp.add_argument("--height", type=int, required=True)
     sp.add_argument("--interior", action="store_true",
                     help="all-nonzero Cox tuples on a general smooth fan")
-    sp.add_argument("--csv", action="store_true")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("crosscheck", help="fan machinery vs arithmetic oracle")
@@ -445,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_crosscheck)
 
     sp = sub.add_parser("example", help="worked setups with expected verdicts")
-    sp.add_argument("name", choices=["pn-darmon", "hirzebruch", "p11r",
-                                     "affine-space"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--m")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_example)
+    examples = sp.add_subparsers(dest="name", required=True)
+    for name, params in (("pn-darmon", "nm"), ("hirzebruch", "rm"), ("p11r", "rm"),
+                         ("affine-space", "d")):
+        ep = examples.add_parser(name)
+        for k in params:
+            ep.add_argument("--" + k, type=None if k == "m" else int)
+        ep.add_argument("--json", action="store_true")
+        ep.set_defaults(func=cmd_example)
     return p
 
 

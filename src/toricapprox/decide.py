@@ -80,11 +80,9 @@ def _resolve_flags(field: FieldDescriptor, flags: Optional[FieldFlags]) -> Field
 
 
 def decide_m_approx(pair: ToricPair, field: FieldDescriptor, T_nonempty: bool,
-                    flags: Optional[FieldFlags] = None,
-                    inv: Optional[PairInvariants] = None) -> Verdict:
+                    flags: Optional[FieldFlags] = None) -> Verdict:
     """M-approximation off T (T_nonempty) or everywhere (T empty)."""
-    if inv is None:
-        inv = invariants_of(pair)
+    inv = invariants_of(pair)
     if not T_nonempty:
         # unconditional equivalence: approximation at every place iff N_M^+ = N
         if inv.nm_plus_equals_n:

@@ -54,7 +54,7 @@ def _coprime_box(n: int, H: int):
             yield tup
 
 
-def enumerate_projective(pair: ToricPair, H: int, keep_points: bool = True) -> Census:
+def enumerate_projective(pair: ToricPair, H: int) -> Census:
     """All M-points of projective space with coprime integer coordinates of
     absolute value at most H, first nonzero coordinate positive."""
     if H < 1:
@@ -66,7 +66,7 @@ def enumerate_projective(pair: ToricPair, H: int, keep_points: bool = True) -> C
     verdicts = {}
     found = [tup for tup in _coprime_box(len(fan.rays), H)
              if m_point_check(fan, tup, admits, verdicts)[0].ok]
-    return Census(pair, H, len(found), tuple(found) if keep_points else None)
+    return Census(pair, H, len(found), tuple(found))
 
 
 @lru_cache(maxsize=256)
@@ -105,7 +105,7 @@ def canonical_interior(pair: ToricPair, coords, vectors: tuple) -> tuple:
     return best
 
 
-def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census:
+def enumerate_toric(pair: ToricPair, H: int) -> Census:
     """Interior census: orbits of all-nonzero integer Cox tuples in the box.
     Admissibility is a property of the orbit, so each admissible tuple adds
     its orbit's canonical representative."""
@@ -126,7 +126,7 @@ def enumerate_toric(pair: ToricPair, H: int, keep_points: bool = True) -> Census
         if witness.ok:
             seen.add(canonical_interior(pair, tup, vectors))
     pts = tuple(sorted(seen))
-    return Census(pair, H, len(pts), pts if keep_points else None)
+    return Census(pair, H, len(pts), pts)
 
 
 class CrosscheckReport(NamedTuple):

@@ -245,45 +245,28 @@ def _xgcd(a: int, b: int):
 
 
 def _hj_inserted(u, w) -> list:
-    """Minimal Hirzebruch-Jung ray chain strictly inside the 2-D cone(u, w)."""
-    m0 = abs(u[0] * w[1] - u[1] * w[0])
-    if m0 <= 1:
+    """Minimal Hirzebruch-Jung ray chain strictly inside the 2-D cone(u, w).
+
+    Let m = |det(u, w)| and p u_0 + q u_1 = 1.  The first ray is
+    v_1 = (w + k u)/m for the one k in (0, m) that makes it integral: the map
+    x -> (p x_0 + q x_1, det(u, x)) is unimodular, and both coordinates of
+    w + k u are divisible by m iff k = -(p w_0 + q w_1) mod m.  With v_0 = u
+    and the Hirzebruch-Jung continued fraction m/k = b_1 - 1/(b_2 - ...),
+    each next ray is v_(i+1) = b_i v_i - v_(i-1); the ray after the chain
+    is w."""
+    m = abs(u[0] * w[1] - u[1] * w[0])
+    if m <= 1:
         return []
-    # unimodular T with T u = (0, 1)
-    g, p, q = _xgcd(u[0], u[1])
-    assert g == 1
-    T = [[-u[1], u[0]], [p, q]]
-
-    def apply(M, x):
-        return (M[0][0] * x[0] + M[0][1] * x[1], M[1][0] * x[0] + M[1][1] * x[1])
-
-    x1, y1 = apply(T, w)
-    if x1 < 0:
-        T[0] = [-T[0][0], -T[0][1]]
-        x1, y1 = -x1, y1
-    m = x1
-    k = (-y1) % m
-    t = (-k - y1) // m
-    T = [T[0], [T[1][0] + t * T[0][0], T[1][1] + t * T[0][1]]]  # shear
-    assert apply(T, u) == (0, 1) and apply(T, w) == (m, -k)
-    assert 0 < k < m
-    # Hirzebruch-Jung continued fraction m/k = b1 - 1/(b2 - ...)
-    bs = []
-    mm, kk = m, k
-    while kk:
-        b = -(-mm // kk)
-        bs.append(b)
-        mm, kk = kk, b * kk - mm
-    u0, u1 = (0, 1), (1, 0)
+    _, p, q = _xgcd(u[0], u[1])
+    k = -(p * w[0] + q * w[1]) % m
+    prev, cur = u, ((w[0] + k * u[0]) // m, (w[1] + k * u[1]) // m)
     chain = []
-    for b in bs:
-        chain.append(u1)
-        u0, u1 = u1, (b * u1[0] - u0[0], b * u1[1] - u0[1])
-    assert u1 == (m, -k)
-    # map back with T^-1 (det +-1)
-    det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
-    Tinv = [[T[1][1] // det, -T[0][1] // det], [-T[1][0] // det, T[0][0] // det]]
-    return [apply(Tinv, c) for c in chain]
+    while k:
+        b = -(-m // k)
+        chain.append(cur)
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        m, k = k, b * k - m
+    return chain
 
 
 def resolve_2d(f: Fan) -> RefinementMap:

@@ -103,7 +103,7 @@ def test_recombination_identity():
     gd = build_gamma(pair)
     target = CoxPoint.make(pair.fan, [Fraction(4), Fraction(3), Fraction(5),
                                       Fraction(7, 2)])
-    cs = solve_local_exponents(pair, gd, 2, target)
+    cs = solve_local_exponents(pair, gd, target)
     coords = recombine(pair, gd, cs)
     # the recombined point agrees with the target in the torus quotient
     from toricapprox.approx import _characters

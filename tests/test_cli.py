@@ -40,6 +40,8 @@ def test_parse_fan_shorthands():
 def test_validate(capsys):
     rc, out, _ = run(capsys, "validate", "--fan", "p2")
     assert rc == 0 and "fan ok" in out
+    rc, out, _ = run(capsys, "validate", "--fan", "p2", "--darmon", "2,3,5", "--json")
+    assert (rc, json.loads(out)) == (0, {"valid": True, "conditions": True})
     bad = json.dumps({"dim": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]})
     rc, _, err = run(capsys, "validate", "--fan", bad)
     assert rc == 2 and "primitive" in err
@@ -277,6 +279,8 @@ BIG_N = 1000000007 * 1000000009
     (["analyze", "--darmon", "2,3,5", "--fan",
       '{"dim":2,"rays":[[1,0],[-3,3001],[-1,-1]],"max_cones":[[0,1],[1,2],[0,2]]}'],
      (0,), "index: 1"),
+    # the index is not factored for a verdict that does not list its divisors
+    (["decide", "hilbert", "--fan", "p1", "--darmon", f"{BIG_N},{BIG_N}"], (0,), "NO"),
 ])
 def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want_out):
     """Inputs whose index, field size, digits or prime list once made a
@@ -326,10 +330,64 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
       for argv in (["decide", "m-approx", "--darmon", "1,1,1"],
                    ["analyze", "--darmon", "2,2,2"],
                    ["decide", "thinness", "--darmon", "2,2,2"])],
+    # conditions that do not fit the fan: validate prints nothing on stdout
+    *[(["validate", "--fan", "p2", "--darmon", "2,2"] + json_flag,
+       "multiplicity set arity must equal the number of rays") for json_flag in ([], ["--json"])],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", f"input error: {msg}\n")
+
+
+# Each (command, flag) pair here was once accepted and then ignored.  Each
+# base call runs as it is; adding the flag makes argparse reject the call.
+_P2_DARMON = ["--fan", "p2", "--darmon", "2,2,2"]
+_UNREAD_FLAGS = [
+    (["decide", "m-approx", *_P2_DARMON], ["--removed=0", "--b-equals-c"]),
+    (["decide", "integral", *_P2_DARMON], ["--removed=0", "--b-equals-c"]),
+    (["decide", "strong-approx", "--fan", "p2"],
+     ['--cond={"type": "any"}', "--darmon=2,2,2", "--campana=2,2,2", "--b-equals-c"]),
+    (["decide", "thinness", *_P2_DARMON], ["--assert", "--removed=0"]),
+    (["decide", "hilbert", *_P2_DARMON], ["--everywhere", "--removed=0", "--b-equals-c"]),
+    (["example", "pn-darmon"], ["--r=2", "--d=2"]),
+    (["example", "hirzebruch"], ["--n=3", "--d=2"]),
+    (["example", "p11r"], ["--n=3", "--d=2"]),
+    (["example", "affine-space"], ["--n=3", "--r=2", "--m=2,2"]),
+]
+# flags that exclude each other: one condition set, one output format
+_CONFLICTS = [
+    ["decide", "m-approx", *_P2_DARMON, "--campana=2,2,2"],
+    ["analyze", "--fan", "p2", "--campana=2,2,2", '--cond={"type": "any"}'],
+    ["check-point", *_P2_DARMON, '--cond={"type": "any"}', "--point", '{"coords": ["1", "1", "1"]}'],
+    ["enumerate", "--fan", "p1", "--campana", "2,2", "--height", "2", "--csv", "--json"],
+]
+
+
+@pytest.mark.parametrize("base, flag", [(b, f) for b, flags in _UNREAD_FLAGS for f in flags],
+                         ids=lambda x: x if isinstance(x, str) else " ".join(x[:2]))
+def test_a_flag_the_command_does_not_read_exits_2(capsys, base, flag):
+    assert main(base) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(base + [flag])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: toricapprox") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", _CONFLICTS, ids=lambda argv: argv[0])
+def test_exclusive_flags_given_together_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def test_a_flag_before_the_verdict_name_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--fan", "p2", "m-approx", "--darmon", "2,2,2"])
+    assert exc.value.code == 2
 
 
 # CLI contract fuzz: well-formed commands with at most one malformed part, so
@@ -395,6 +453,17 @@ def _targets(n, bad):
     return targets | _JSON if bad else targets
 
 
+# each decide verdict and the flags it reads besides --fan, its conditions
+# and --json; strong-approx alone reads no conditions
+_VERDICT_FLAGS = {
+    "m-approx": ("--everywhere", "--assert", "--field=q"),
+    "strong-approx": ("--everywhere", "--assert", "--field=q", "--removed=0"),
+    "integral": ("--everywhere", "--assert", "--field=q"),
+    "thinness": ("--everywhere", "--b-equals-c", "--field=q"),
+    "hilbert": ("--assert", "--field=q"),
+}
+
+
 @st.composite
 def _malformed_argv(draw):
     """A command in which at most one of the fan, the conditions and the
@@ -403,11 +472,16 @@ def _malformed_argv(draw):
                                 "approximate", "enumerate", "crosscheck"]))
     broken = draw(st.sampled_from(["none", "fan", "conds", "payload"]))
     argv = [cmd]
+    flags = ("--assert",) if cmd == "check-point" else ()
     if cmd == "decide":
-        argv.append(draw(st.sampled_from(["m-approx", "integral", "thinness", "hilbert"])))
+        what = draw(st.sampled_from(sorted(_VERDICT_FLAGS)))
+        argv.append(what)
+        flags = _VERDICT_FLAGS[what]
     fan = draw(_BAD_FAN if broken == "fan" else st.sampled_from(sorted(_BUILTIN_RAYS)))
     n = _BUILTIN_RAYS.get(fan, 3)
-    argv += ["--fan=" + fan] + draw(_conds(n, broken == "conds"))
+    argv.append("--fan=" + fan)
+    if "strong-approx" not in argv:
+        argv += draw(_conds(n, broken == "conds"))
     if cmd == "check-point":
         argv.append("--point=" + json.dumps(draw(_point(n, broken == "payload"))))
     elif cmd == "approximate":
@@ -416,9 +490,7 @@ def _malformed_argv(draw):
         argv.append(f"--height={draw(st.integers(-1, 2))}")
         if cmd == "enumerate" and draw(st.booleans()):
             argv.append("--interior")
-    if cmd in ("decide", "check-point") and draw(st.booleans()):
-        argv.append("--assert")
-    return argv
+    return argv + [flag for flag in flags if draw(st.booleans())]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

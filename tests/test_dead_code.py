@@ -46,3 +46,32 @@ def test_every_package_definition_has_a_caller():
     assert sorted(set(unused) - PINNED) == []
     # a pinned name that gains a caller leaves the list
     assert set(unused) >= PINNED
+
+
+# points._mult_memo reads no parameter on purpose: lru_cache keys the empty
+# dict it returns on the fan, so each fan gets its own memo.
+UNREAD_BY_DESIGN = {("points", "_mult_memo", "fan")}
+
+
+def _unread_parameters():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            a = fn.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg and arg.arg not in loaded and arg.arg not in ("self", "cls"):
+                    unread.append((path.stem, getattr(fn, "name", "<lambda>"), arg.arg))
+    return unread
+
+
+def test_every_package_parameter_is_read():
+    """A parameter that the body never reads is a setting that changes
+    nothing.  Reads inside nested functions and lambdas count."""
+    unread = _unread_parameters()
+    assert sorted(set(unread) - UNREAD_BY_DESIGN) == []
+    assert set(unread) >= UNREAD_BY_DESIGN

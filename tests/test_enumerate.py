@@ -111,8 +111,8 @@ def test_toric_census_h2_units():
 def test_toric_census_product_law():
     ms4 = campana([2, 2, 2, 2])
     pp = fan_product(P1, P1)
-    square = enumerate_toric(ToricPair(pp, ms4), 4, keep_points=False)
-    line = enumerate_toric(ToricPair(P1, campana([2, 2])), 4, keep_points=False)
+    square = enumerate_toric(ToricPair(pp, ms4), 4)
+    line = enumerate_toric(ToricPair(P1, campana([2, 2])), 4)
     assert square.count == line.count ** 2
 
 
