@@ -11,17 +11,16 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Sequence
 
 from .conditions import ToricPair, Variant, _phi
 from .fan import is_complete, is_smooth
 from .intlat import INF, right_inverse
-from .points import (CoxPoint, MPointWitness, RetriesExhausted, ScanCapExhausted,
-                     factorize, is_m_point, is_squarefree, m_point_check, v_p)
+from .points import (CoxPoint, MPointWitness, ScanCapExhausted, is_m_point,
+                     is_squarefree, m_point_check, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
-# m_point_approximate retries this often, each time with more guard digits
-MAX_RETRIES = 5
 
 
 class LocalConstraint(namedtuple("LocalConstraint", "p target k")):
@@ -47,8 +46,7 @@ def _crt(residues) -> tuple:
     """Combine (r mod m) pairs with coprime moduli."""
     r, m = 0, 1
     for ri, mi in residues:
-        g = math.gcd(m, mi)
-        assert g == 1
+        assert math.gcd(m, mi) == 1
         r = (r * mi * pow(mi, -1, m) + ri * m * pow(m, -1, mi)) % (m * mi)
         m *= mi
     return r, m
@@ -59,8 +57,12 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     """R pairwise coprime squarefree elements of Z[1/S] meeting every constraint.
 
     Each output is f = (prod_p p^(v_p(target_p))) * n with n a squarefree
-    integer congruent to the unit part of every target; candidates n are
-    scanned outward from the CRT residue and accepted smallest |n| first.
+    integer congruent to the unit part of every target and prime to every
+    integer in avoid.  With r in [0, M) the CRT residue modulo M = prod_p p^k,
+    candidates n are scanned in the order r, then r - tM and r + tM for
+    t = 1, 2, ... (the one of smaller |n| first, n > 0 first on a tie; 0 is
+    skipped), and the first R admissible ones are accepted.  This is not
+    smallest |n| first: for 3 mod 5 the scan accepts 3, not -2.
     """
     if R < 1:
         raise ValueError("R must be positive")
@@ -81,35 +83,22 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     r, M = _crt(residues)
 
     out = []
-    chosen = []
-    avoid_n = 1
-    for a in avoid:
-        avoid_n *= a
+    # avoid times every accepted n: one gcd tests coprimality to both
+    taken = math.prod(avoid)
     cap = _scan_cap()
-    # candidates ordered by |n|: n = r, then r - M or r + M, etc.
-    t = 0
     scanned = 0
-    candidates = []
-    while len(out) < R:
-        if scanned >= cap:
-            raise ScanCapExhausted(
-                f"no further admissible squarefree value within {cap} candidates "
-                f"(residue {r} mod {M}, {len(out)} of {R} found)")
-        while not candidates:
-            lo, hi = r - t * M, r + t * M
-            candidates = sorted({lo, hi} - {0}, key=lambda n: (abs(n), n < 0))
-            t += 1
-        n = candidates.pop(0)
-        scanned += 1
-        if n == 0 or not is_squarefree(n):
-            continue
-        if math.gcd(n, avoid_n) != 1:
-            continue
-        if any(math.gcd(n, m) != 1 for m in chosen):
-            continue
-        chosen.append(n)
-        out.append(prefactor * n)
-    return out
+    for t in count():
+        for n in sorted({r - t * M, r + t * M} - {0}, key=lambda n: (abs(n), n < 0)):
+            if scanned >= cap:
+                raise ScanCapExhausted(
+                    f"no further admissible squarefree value within {cap} candidates "
+                    f"(residue {r} mod {M}, {len(out)} of {R} found)")
+            scanned += 1
+            if is_squarefree(n) and math.gcd(n, taken) == 1:
+                taken *= n
+                out.append(prefactor * n)
+                if len(out) == R:
+                    return out
 
 
 class GammaData(NamedTuple):
@@ -197,20 +186,35 @@ def _closeness_valuation(pair, p, Q_coords, target_coords):
     exact match."""
     aq = _characters(pair.fan, Q_coords)
     at = _characters(pair.fan, target_coords)
-    worst = None
-    for x, y in zip(aq, at):
-        diff = x / y - 1
-        v = INF if diff == 0 else v_p(diff, p)
-        worst = v if worst is None else min(worst, v)
-    return worst
+    return min(INF if x == y else v_p(x / y - 1, p) for x, y in zip(aq, at))
 
 
 def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     """An M-point p-adically close to each target, with a recomputed certificate.
 
     targets maps a prime to (CoxPoint, digits).  Requires a smooth complete fan
-    and N_M = N; the certificate is verified through the points module and
-    never returned unverified.
+    and N_M = N.  One point is built, from one squarefree lift per single-ray
+    generator m_s, and its certificate is recomputed through the points module.
+    The construction always verifies:
+
+    * Closeness.  solve_local_exponents gives c_s with a(recombine(c)) =
+      a(target) for the torus characters a_j.  The lift of c_s at p is
+      f_s = prefactor * n with n = c_s / prefactor mod p^k', so f_s / c_s lies
+      in 1 + p^k' Z_p, where k' = digits + guard >= digits + 1.  As a_j is a
+      monomial, a_j(Q) / a_j(target) = prod_s (f_s / c_s)^gamma_js, and
+      1 + p^k' Z_p is a multiplicative group, so the achieved precision is at
+      least k'.
+    * Witness.  The integer parts n_s are squarefree, prime to S and pairwise
+      coprime (each lift avoids the earlier ones).  A prime q outside S thus
+      divides exactly one n_s, to the first power, and the valuation key of
+      Q_i = prod_s f_s^(m_s,i) at q is m_s = w e_i with w in the finite slice
+      of condition i.  On a smooth fan the cone coordinates of w n_i are
+      w e_i, which the condition admits.
+    * Excluded primes.  The prefactors are S-units and recombine raises them
+      to natural exponents, so each coordinate's denominator is a product of
+      target primes, and S' = S.
+
+    A certificate that still fails its check raises AssertionError.
     """
     fan = pair.fan
     if not (is_smooth(fan) and is_complete(fan)):
@@ -220,45 +224,27 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
         w = is_m_point(pair, pt)
         return ApproxCertificate(pt, (), (), (), w)
     gd = build_gamma(pair)
-    primes = sorted(targets)
-    # guard digits cover the ultrametric loss when multiplying Sum m_(s,i) factors
+    primes = tuple(sorted(targets))
+    # closeness needs no guard digits (see above): they only fix which point
+    # is built
     msum = max(sum(m[i] for m in gd.generators) for i in range(len(fan.rays)))
+    digits = {p: targets[p][1] + max(1, math.ceil(math.log(msum, p))) for p in primes}
     cs_by_prime = {p: solve_local_exponents(pair, gd, targets[p][0])
                    for p in primes}
-    extra = 0
-    cert = None
-    for attempt in range(MAX_RETRIES + 1):
-        lifts = []
-        chosen_ints = []
-        for s in range(len(gd.generators)):
-            cons = []
-            for p in primes:
-                digits = targets[p][1] + extra + max(1, math.ceil(math.log(msum, p)))
-                cons.append(LocalConstraint(p, cs_by_prime[p][s], digits))
-            f = squarefree_approximate(cons, 1, avoid=chosen_ints)[0]
-            lifts.append(f)
-            # track the prime-to-S integer part for pairwise coprimality
-            n_part = f
-            for p in primes:
-                n_part /= Fraction(p) ** v_p(f, p)
-            chosen_ints.append(abs(n_part.numerator))
-        coords = recombine(pair, gd, lifts)
-        point = CoxPoint.make(fan, coords)
-        s_prime = set(primes)
-        for c in coords:
-            if c.denominator > 1:
-                s_prime |= set(factorize(c.denominator))
-        s_prime = tuple(sorted(s_prime))
-        witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
-                                       {}, s_prime)
-        closeness = tuple(
-            (p, targets[p][1],
-             _closeness_valuation(pair, p, coords, targets[p][0].coords))
-            for p in primes)
-        cert = ApproxCertificate(point, closeness, mults, s_prime, witness)
-        if cert.verified():
-            return cert
-        extra = 2 * extra if extra else 2
-    raise RetriesExhausted(
-        f"no verified point after {MAX_RETRIES + 1} attempts; last certificate: "
-        f"{cert.to_json()}")
+    lifts = []
+    for s in range(len(gd.generators)):
+        cons = [LocalConstraint(p, cs_by_prime[p][s], digits[p]) for p in primes]
+        # a lift's numerator is its n_s times powers of S primes, and every
+        # candidate is prime to S, so the gcd test sees only the n_s
+        lifts += squarefree_approximate(cons, 1, avoid=[f.numerator for f in lifts])
+    coords = recombine(pair, gd, lifts)
+    point = CoxPoint.make(fan, coords)
+    witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
+                                   {}, primes)
+    closeness = tuple(
+        (p, targets[p][1], _closeness_valuation(pair, p, coords, targets[p][0].coords))
+        for p in primes)
+    cert = ApproxCertificate(point, closeness, mults, primes, witness)
+    if not cert.verified():
+        raise AssertionError(f"unverified certificate: {cert.to_json()}")
+    return cert

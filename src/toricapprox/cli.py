@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error
 (including a fan JSON that fails fan_validate), 3 computational defect (scan
-cap, retries, non-principal pullback, oversized factorization, a failed
+cap, non-principal pullback, oversized factorization, a failed
 internal assertion, an arithmetic error or exhausted memory).
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import __version__
 from .conditions import (
     NotPrincipalError,
     ToricPair,
+    campana,
     conditions_from_json,
     darmon,
     MultiplicitySet,
@@ -37,8 +38,8 @@ from .decide import (
 )
 from .fan import Fan, fan_validate, hirzebruch, product, projective_space, weighted_P11r
 from .fields import FieldDescriptor, field_from_json, rho_of
-from .points import (CoxPoint, FactorizationError, RetriesExhausted, ScanCapExhausted,
-                     is_m_point, is_prime)
+from .points import (CoxPoint, FactorizationError, ScanCapExhausted, is_m_point,
+                     is_prime)
 from .intlat import INF
 
 
@@ -88,7 +89,6 @@ def parse_conditions(args) -> MultiplicitySet:
     if args.darmon:
         return darmon([_parse_mult(t) for t in args.darmon.split(",")])
     if args.campana:
-        from .conditions import campana
         return campana([_parse_mult(t) for t in args.campana.split(",")])
     if args.cond:
         try:
@@ -461,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except (ScanCapExhausted, RetriesExhausted, NotPrincipalError,
-            FactorizationError, AssertionError, ArithmeticError, MemoryError) as e:
+    except (ScanCapExhausted, NotPrincipalError, FactorizationError, AssertionError,
+            ArithmeticError, MemoryError) as e:
         print(f"computational defect: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as e:

@@ -300,7 +300,7 @@ def classify_thinness(pair: ToricPair, field: FieldDescriptor,
         reasons.append("G_m(B) is finite: for the toric model, failure of Zariski "
                        "density is equivalent to stable thinness")
     else:
-        dense = TriBool.TRUE if cls is Thinness.NOT_THIN else TriBool.UNKNOWN
+        dense = TriBool.UNKNOWN
     return ThinnessReport(cls, d_list, dense, tuple(reasons), inv)
 
 

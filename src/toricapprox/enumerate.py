@@ -11,7 +11,7 @@ import io
 from functools import lru_cache
 from itertools import product as _iter_product
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .conditions import Kind, ToricPair, Variant
 from .fan import is_complete, is_smooth
@@ -34,15 +34,13 @@ class Census(NamedTuple):
     pair: ToricPair
     height: int
     count: int
-    points: Optional[tuple] = None
+    points: tuple
     normalization_note: str = _HEIGHT_NOTE
 
     def to_json(self) -> dict:
-        out = {"height": self.height, "count": self.count,
-               "normalization_note": self.normalization_note}
-        if self.points is not None:
-            out["points"] = [[str(x) for x in p] for p in self.points]
-        return out
+        return {"height": self.height, "count": self.count,
+                "normalization_note": self.normalization_note,
+                "points": [[str(x) for x in p] for p in self.points]}
 
 
 def _coprime_box(n: int, H: int):
@@ -191,6 +189,6 @@ def census_to_csv(c: Census) -> str:
     w = csv.writer(buf)
     n = len(c.pair.fan.rays)
     w.writerow([f"a{i}" for i in range(n)] + ["is_m_point"])
-    for p in c.points or ():
+    for p in c.points:
         w.writerow(list(p) + ["yes"])
     return buf.getvalue()

@@ -26,10 +26,6 @@ class ScanCapExhausted(RuntimeError):
     nonexistence proof."""
 
 
-class RetriesExhausted(RuntimeError):
-    """The approximation loop failed verification at every retry digit level."""
-
-
 _TRIAL_BOUND = 10 ** 6
 # deterministic Miller-Rabin bases valid for all n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricapprox.approx import (
     ApproxCertificate,
     GammaData,
     LocalConstraint,
-    RetriesExhausted,
     ScanCapExhausted,
     build_gamma,
     m_point_approximate,
@@ -15,8 +15,9 @@ from toricapprox.approx import (
     solve_local_exponents,
     squarefree_approximate,
 )
-from toricapprox.conditions import ToricPair, campana, darmon
-from toricapprox.fan import hirzebruch, projective_space
+from toricapprox.conditions import (DivisorCondition, Kind, MultiplicitySet, ToricPair,
+                                    campana, darmon)
+from toricapprox.fan import hirzebruch, product, projective_space
 from toricapprox.points import CoxPoint, is_m_point, is_squarefree, v_p
 
 P1 = projective_space(1)
@@ -27,6 +28,9 @@ def test_squarefree_smallest_solutions():
     # the scan starts at the residue itself
     assert squarefree_approximate([LocalConstraint(2, Fraction(1), 3)]) == [1]
     assert squarefree_approximate([LocalConstraint(3, Fraction(2), 2)]) == [2]
+    # the residue comes before r - M, although -2 and -1 are squarefree and smaller
+    assert squarefree_approximate([LocalConstraint(5, Fraction(3), 1)]) == [3]
+    assert squarefree_approximate([LocalConstraint(7, Fraction(6), 1)]) == [6]
 
 
 def test_squarefree_avoid_and_coprime():
@@ -153,3 +157,50 @@ def test_m_point_approximate_rejects_singular_inputs():
     pair = ToricPair(weighted_P11r(2), darmon([2, 3, 5]))
     with pytest.raises(ValueError, match="smooth"):
         m_point_approximate(pair, {})
+
+
+_FANS = [P1, P2, product(P1, P1)] + [hirzebruch(r) for r in range(4)]
+
+
+@st.composite
+def _index_one_requests(draw):
+    """An index-1 PRODUCT pair with targets at one prime <= 13 (1-3 digits) or
+    at two primes (1 digit), the target coordinates with denominators."""
+    fan = draw(st.sampled_from(_FANS))
+    m = st.integers(1, 5)
+    cond = st.one_of(st.just(DivisorCondition(Kind.ANY)),
+                     st.just(DivisorCondition(Kind.SQUAREFREE)),
+                     m.map(lambda k: DivisorCondition(Kind.CAMPANA, k)),
+                     m.map(lambda k: DivisorCondition(Kind.DARMON, k)),
+                     m.map(lambda k: DivisorCondition(Kind.STRICT_DARMON, k)),
+                     st.sets(m, min_size=1, max_size=3).map(
+                         lambda v: DivisorCondition(Kind.FINITE_SET, values=(0, *sorted(v)))))
+    pair = ToricPair(fan, MultiplicitySet.of([draw(cond) for _ in fan.rays]))
+    try:
+        build_gamma(pair)
+    except ValueError:
+        assume(False)
+    n_primes = draw(st.sampled_from((1, 2)))
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=n_primes,
+                           max_size=n_primes, unique=True))
+    coord = st.builds(lambda a, sign, d: Fraction(sign * a, d), st.integers(1, 30),
+                      st.sampled_from((1, -1)), st.integers(1, 12))
+    targets = {p: (CoxPoint.make(fan, [draw(coord) for _ in fan.rays]),
+                   draw(st.integers(1, 3 if n_primes == 1 else 1)))
+               for p in primes}
+    return pair, targets
+
+
+@settings(max_examples=30, deadline=None)
+@given(_index_one_requests())
+def test_the_first_construction_verifies(request):
+    """m_point_approximate builds one point and never retries: the closeness
+    and witness arguments in its docstring hold on every index-1 request."""
+    pair, targets = request
+    cert = m_point_approximate(pair, targets)
+    assert cert.excluded_primes == tuple(sorted(targets))
+    for p, k, got in cert.closeness:
+        assert got >= k + 1
+    gens = set(pair.conditions.single_ray_vectors())
+    for _, vector in cert.multiplicities:
+        assert tuple(vector) in gens

@@ -1,9 +1,10 @@
-"""Every top-level function and class of the package has a caller in the package.
+"""Every top-level function, class and constant of the package has a reader in
+the package.
 
 A name counts as used when some other top-level definition, or module-level
 code, of any package module loads it, as a bare name or as an attribute.  A
-recursive call, an import or a mention in a docstring is not a use.  Code that
-only the tests need lives under tests/.
+recursive call, an assignment, an import or a mention in a docstring is not a
+use.  Code that only the tests need lives under tests/.
 """
 import ast
 from pathlib import Path
@@ -19,7 +20,7 @@ PINNED = {("intlat", "solve_in_smooth_cone"), ("fan", "minimal_cone_containing")
 
 
 def _definitions_and_uses():
-    defined, used = [], set()
+    defined, assigned, used = [], [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for top in tree.body:
@@ -27,6 +28,10 @@ def _definitions_and_uses():
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = top.name
                 defined.append((path.stem, top.name))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                assigned += [(path.stem, node.id) for t in targets for node in ast.walk(t)
+                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -36,16 +41,24 @@ def _definitions_and_uses():
                     continue
                 if name != owner:
                     used.add(name)
-    return defined, used
+    return defined, assigned, used
 
 
 def test_every_package_definition_has_a_caller():
-    defined, used = _definitions_and_uses()
+    defined, _, used = _definitions_and_uses()
     assert defined
     unused = [(mod, name) for mod, name in defined if name not in used]
     assert sorted(set(unused) - PINNED) == []
     # a pinned name that gains a caller leaves the list
     assert set(unused) >= PINNED
+
+
+def test_every_package_constant_is_read():
+    """A top-level assignment that no package code reads is a setting that
+    changes nothing."""
+    _, assigned, used = _definitions_and_uses()
+    assert assigned
+    assert sorted((mod, name) for mod, name in assigned if name not in used) == []
 
 
 # points._mult_memo reads no parameter on purpose: lru_cache keys the empty

@@ -79,7 +79,7 @@ def test_record_defaults():
     assert PairInvariants(INV.nm_basis, 2, QUOT, (), True, False).notes == ()
     assert Verdict("p", Holds.YES, ()).invariants is None
     assert MPointWitness(True) == MPointWitness(True, None, None)
-    assert Census(PAIR, 1, 0).points is None
+    assert Census(PAIR, 1, 0, points=()).normalization_note.startswith("height")
 
 
 @pytest.mark.parametrize("build, msg", [
