@@ -54,7 +54,13 @@ def _coprime_box(n: int, H: int):
 
 def enumerate_projective(pair: ToricPair, H: int) -> Census:
     """All M-points of projective space with coprime integer coordinates of
-    absolute value at most H, first nonzero coordinate positive."""
+    absolute value at most H, first nonzero coordinate positive, in product
+    order.
+
+    The verdict depends on a tuple only through its zero set and the absolute
+    values of its entries (m_point_check), so each coprime magnitude tuple in
+    [0, H]^n is decided once and, when it is an M-point, every sign variant
+    with a positive first nonzero entry is listed."""
     if H < 1:
         raise ValueError("height bound must be at least 1")
     fan = pair.fan
@@ -62,8 +68,14 @@ def enumerate_projective(pair: ToricPair, H: int) -> Census:
         raise ValueError("projective census needs a projective space fan")
     admits = pair.conditions.admits_vector
     verdicts = {}
-    found = [tup for tup in _coprime_box(len(fan.rays), H)
-             if m_point_check(fan, tup, admits, verdicts)[0].ok]
+    found = []
+    for tup in _iter_product(range(H + 1), repeat=len(fan.rays)):
+        # gcd of the all-zero tuple is 0, so it is dropped here too
+        if gcd(*tup) == 1 and m_point_check(fan, tup, admits, verdicts)[0].ok:
+            first = next(i for i, x in enumerate(tup) if x)
+            found.extend(_iter_product(*[(x, -x) if x and i > first else (x,)
+                                         for i, x in enumerate(tup)]))
+    found.sort()
     return Census(pair, H, len(found), tuple(found))
 
 
@@ -85,28 +97,44 @@ def _sign_group(fan) -> tuple:
     return tuple(tuple(-1 if x else 1 for x in g) for g in sorted(group))
 
 
+@lru_cache(maxsize=256)
+def _sign_classes(fan) -> dict:
+    """Each sign vector in {1, -1}^n mapped to the least vector of its coset
+    of the sign group.  Cached per fan."""
+    group = _sign_group(fan)
+    least = {}
+    for t in _iter_product((-1, 1), repeat=len(fan.rays)):  # ascending
+        if t not in least:
+            for s in group:
+                least[tuple(a * b for a, b in zip(t, s))] = t
+    return least
+
+
 def canonical_interior(pair: ToricPair, coords, vectors: tuple) -> tuple:
     """Canonical orbit representative of the interior point with Cox
-    coordinates coords from its multiplicity vectors (m_point_check):
-    per-prime multiplicity magnitudes, then the minimal sign pattern."""
-    fan = pair.fan
-    mags = [1] * len(fan.rays)
+    coordinates coords from its multiplicity vectors (m_point_check): the
+    per-prime multiplicity magnitudes times the least sign pattern of the
+    orbit.  The magnitudes are positive, so of two points with the same
+    magnitudes the lesser is the one with the lesser sign pattern."""
+    mags = [1] * len(pair.fan.rays)
     for p, mv in vectors:
         for i, e in enumerate(mv):
             mags[i] *= p ** e
-    signs = [1 if c > 0 else -1 for c in coords]
-    best = None
-    for s in _sign_group(fan):
-        cand = tuple(m * a * b for m, a, b in zip(mags, signs, s))
-        if best is None or cand < best:
-            best = cand
-    return best
+    signs = tuple(1 if c > 0 else -1 for c in coords)
+    return tuple(m * s for m, s in zip(mags, _sign_classes(pair.fan)[signs]))
 
 
 def enumerate_toric(pair: ToricPair, H: int) -> Census:
     """Interior census: orbits of all-nonzero integer Cox tuples in the box.
     Admissibility is a property of the orbit, so each admissible tuple adds
-    its orbit's canonical representative."""
+    its orbit's canonical representative.
+
+    The verdict and the multiplicity vectors depend on a tuple only through
+    the absolute values of its entries (m_point_check), so each tuple in
+    [1, H]^n is checked once.  When it is admissible, its sign variants fall
+    into one orbit per coset of the sign group, and the canonical
+    representative of one variant per coset is read off its one set of
+    vectors."""
     fan = pair.fan
     if H < 0:
         raise ValueError("height bound must be nonnegative")
@@ -118,11 +146,12 @@ def enumerate_toric(pair: ToricPair, H: int) -> Census:
     admits = pair.conditions.admits_vector
     verdicts = {}
     seen = set()
-    vals = [*range(-H, 0), *range(1, H + 1)]
-    for tup in _iter_product(vals, repeat=len(fan.rays)):
+    cosets = set(_sign_classes(fan).values())
+    for tup in _iter_product(range(1, H + 1), repeat=len(fan.rays)):
         witness, vectors = m_point_check(fan, tup, admits, verdicts)
         if witness.ok:
-            seen.add(canonical_interior(pair, tup, vectors))
+            seen.update(canonical_interior(pair, tuple(a * s for a, s in zip(tup, t)), vectors)
+                        for t in cosets)
     pts = tuple(sorted(seen))
     return Census(pair, H, len(pts), pts)
 

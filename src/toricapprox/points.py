@@ -259,7 +259,11 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
     one multiplicity set.  At a boundary point the generic vector (INF on the
     zero set, 0 elsewhere) is checked first, and a failure there returns at
     once with vectors None.  The witness names the least failing prime;
-    vectors holds (p, vector) at every prime outside skip, ascending.
+    vectors holds (p, vector) at every prime outside skip, ascending.  The
+    result depends on coords only through the zero set and the
+    factorizations of each |numerator| and |denominator|, so flipping the
+    sign of any coordinate changes nothing; the censuses decide each
+    magnitude pattern once.
     """
     n = len(coords)
     zeros = 0  # bit i set iff coords[i] == 0; an int never equals a tuple key

@@ -6,16 +6,19 @@ The package reads cone coordinates and smoothness off one Smith form per cone
 elimination over the rationals.  It reads a multiplicity vector off a
 valuation key (points._multiplicities); the tests check it against the
 coprime integer representative on projective space and against a solve on the
-minimal containing cone elsewhere.
+minimal containing cone elsewhere.  The censuses decide each magnitude
+pattern once; the signed-box oracles decide every signed tuple.
 """
 import math
 from fractions import Fraction
+from itertools import product
 
 from toricapprox.conditions import _phi
+from toricapprox.enumerate import _coprime_box, _sign_group
 from toricapprox.fan import (Fan, RefinementMap, _cone_inverses, _is_primitive,
                              minimal_cone_containing)
 from toricapprox.intlat import INF, cone_coords
-from toricapprox.points import CoxPoint, v_p
+from toricapprox.points import CoxPoint, m_point_check, v_p
 
 
 def solve_rational(Arows: list, b: list):
@@ -85,6 +88,38 @@ def coprime_rep_mult(p: int, P: CoxPoint) -> tuple:
 def mult_oracle(p: int, P: CoxPoint) -> tuple:
     """The multiplicity vector at p, by the oracle for the point's kind."""
     return (coprime_rep_mult if P.zero_support() else two_step_mult)(p, P)
+
+
+# ---------------------------------------------------------------------------
+# Censuses over the whole signed box
+# ---------------------------------------------------------------------------
+
+def signed_box_projective(pair, H: int) -> tuple:
+    """The M-points of the coprime box of height H on P^n, first nonzero
+    coordinate positive, in product order: one m_point_check per tuple."""
+    fan, admits, verdicts = pair.fan, pair.conditions.admits_vector, {}
+    return tuple(tup for tup in _coprime_box(len(fan.rays), H)
+                 if m_point_check(fan, tup, admits, verdicts)[0].ok)
+
+
+def signed_box_toric(pair, H: int) -> tuple:
+    """The interior census of height H: one m_point_check per all-nonzero
+    tuple of the box, and each admissible tuple's orbit representative, the
+    least of its multiplicity magnitudes times each sign of the relation
+    torus, ascending."""
+    fan, admits, verdicts = pair.fan, pair.conditions.admits_vector, {}
+    seen = set()
+    vals = [*range(-H, 0), *range(1, H + 1)]
+    for tup in product(vals, repeat=len(fan.rays)):
+        witness, vectors = m_point_check(fan, tup, admits, verdicts)
+        if witness.ok:
+            mags = [1] * len(tup)
+            for p, mv in vectors:
+                for i, e in enumerate(mv):
+                    mags[i] *= p ** e
+            seen.add(min(tuple(m * (1 if a > 0 else -1) * s for m, a, s in zip(mags, tup, g))
+                         for g in _sign_group(fan)))
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

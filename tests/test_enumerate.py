@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from oracles import signed_box_projective, signed_box_toric
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -238,3 +239,83 @@ def test_census_unchanged_when_the_memo_is_cleared_before_every_tuple(monkeypatc
     monkeypatch.setattr(enumerate_module, "m_point_check", cold)
     assert job() == want
     assert tuples
+
+
+def _sets(n):
+    """Campana, Darmon, squarefree, weak-Campana and custom sets on n rays."""
+    custom = ([tuple(0 for _ in range(n))]
+              + [tuple(w if j == i else 0 for j in range(n)) for i in range(n) for w in (2, 3)]
+              + [tuple(INF if j == i else 0 for j in range(n)) for i in range(n)]
+              + [tuple(2 for _ in range(n)), tuple(1 if j % 2 else 2 for j in range(n))])
+    return [campana([2, 3, 2, 3][:n]), darmon([2, 3, 2, 2][:n]),
+            MultiplicitySet.of([DivisorCondition(Kind.SQUAREFREE)] * n),
+            MultiplicitySet.weak_campana([2, 3, 1, 2][:n]), MultiplicitySet.custom(custom)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("which", range(5))
+def test_projective_census_equals_the_signed_box(n, which):
+    """Deciding each magnitude pattern once lists the points, in the order,
+    that one verdict per signed tuple of the coprime box lists."""
+    pair = ToricPair(projective_space(n), _sets(n + 1)[which])
+    for H in range(1, 6):
+        assert enumerate_projective(pair, H).points == signed_box_projective(pair, H), H
+
+
+@pytest.mark.parametrize("fan", [P1, fan_product(P1, P1)] + [hirzebruch(r) for r in range(3)])
+@pytest.mark.parametrize("which", range(5))
+def test_toric_census_equals_the_signed_box(fan, which):
+    """One verdict per positive tuple and one representative per coset of the
+    sign group give the orbits that one verdict per signed tuple gives."""
+    pair = ToricPair(fan, _sets(len(fan.rays))[which])
+    for H in range(0, 5):
+        assert enumerate_toric(pair, H).points == signed_box_toric(pair, H), H
+
+
+def _spy(monkeypatch):
+    """Record the coordinates of every m_point_check call the census module
+    makes."""
+    seen = []
+    real = enumerate_module.m_point_check
+
+    def spy(fan, coords, *rest):
+        seen.append(tuple(coords))
+        return real(fan, coords, *rest)
+
+    monkeypatch.setattr(enumerate_module, "m_point_check", spy)
+    return seen
+
+
+def test_crosscheck_checks_every_signed_tuple(monkeypatch):
+    """crosscheck tests the core against the arithmetic oracle, so it hands
+    it every tuple of the coprime box, sign variants included."""
+    seen = _spy(monkeypatch)
+    H = 4
+    rep = crosscheck(ToricPair(P2, darmon([2, 3, 2])), H)
+    box = list(coprime_box(3, H))
+    assert seen == box
+    assert any(x < 0 for tup in seen for x in tup)
+    assert rep.checked == len(box)
+
+
+@pytest.mark.parametrize("pair,H", [
+    (ToricPair(P2, campana([2, 2, 2])), 6),
+    (ToricPair(projective_space(3), darmon([2, 3, 2, 3])), 3),
+    (ToricPair(P1, MultiplicitySet.weak_campana([2, 3])), 9),
+])
+def test_projective_census_decides_each_magnitude_pattern_once(monkeypatch, pair, H):
+    seen = _spy(monkeypatch)
+    enumerate_projective(pair, H)
+    n = len(pair.fan.rays)
+    assert seen == [t for t in product(range(H + 1), repeat=n) if gcd(*t) == 1]
+
+
+@pytest.mark.parametrize("pair,H", [
+    (ToricPair(fan_product(P1, P1), campana([2, 2, 3, 3])), 4),
+    (ToricPair(hirzebruch(1), darmon([2, 1, 2, 1])), 4),
+    (ToricPair(P1, darmon([2, 3])), 8),
+])
+def test_toric_census_decides_each_magnitude_pattern_once(monkeypatch, pair, H):
+    seen = _spy(monkeypatch)
+    enumerate_toric(pair, H)
+    assert seen == list(product(range(1, H + 1), repeat=len(pair.fan.rays)))

@@ -12,6 +12,7 @@ from toricapprox.conditions import (
     Kind,
     MultiplicitySet,
     ToricPair,
+    Variant,
     campana,
     darmon,
 )
@@ -397,3 +398,37 @@ def test_mult_at_prime_runs_no_normal_form_on_a_checked_fan(monkeypatch):
     for p in (2, 3, 5):
         mult_at_prime(p, P)
     assert calls == []
+
+
+def _multiplicity_set(kind, n, data):
+    if kind is Variant.PRODUCT:
+        return MultiplicitySet.of(data.draw(st.lists(_CONDITION, min_size=n, max_size=n)))
+    if kind is Variant.WEAK_CAMPANA:
+        return MultiplicitySet.weak_campana(
+            data.draw(st.lists(st.sampled_from([1, 2, 3, INF]), min_size=n, max_size=n)))
+    vectors = data.draw(st.sets(st.tuples(*[st.sampled_from([0, 1, 2, 3, INF])] * n),
+                                max_size=6))
+    closure = {tuple(0 for _ in range(n))} | vectors
+    closure |= {tuple(INF if x == INF else 0 for x in v) for v in vectors}
+    return MultiplicitySet.custom(sorted(closure, key=str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORE_FANS), st.sampled_from(list(Variant)), st.data())
+def test_m_point_check_is_blind_to_signs(fan_case, kind, data):
+    """The verdict and the vectors depend on the coordinates only through the
+    zero set and the factorizations of |numerator| and |denominator|, so
+    flipping any signs changes neither the witness nor the vectors."""
+    fan, boundary = fan_case
+    n = len(fan.rays)
+    admits = _multiplicity_set(kind, n, data).admits_vector
+    coords = data.draw(st.lists(_COORD, min_size=n, max_size=n))
+    if boundary:
+        zeros = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        coords = [0 if i in zeros else c for i, c in enumerate(coords)]
+    if data.draw(st.booleans()) and all(c.denominator == 1 for c in coords):
+        coords = [int(c) for c in coords]
+    flips = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    flipped = [s * c for s, c in zip(flips, coords)]
+    want = m_point_check(fan, coords, admits, {})
+    assert m_point_check(fan, flipped, admits, {}) == want, (coords, flips)
