@@ -4,6 +4,11 @@ Two layers: a squarefree CRT-and-scan lifting routine (the desk realization of
 the number-field lifting lemma with distinguished archimedean place), and the
 multiplicative recombination that assembles an M-point close to prescribed
 local targets when N_M = N.
+
+Every quantity of the construction is a monomial in coordinates with known
+integer exponents, so it is evaluated as an integer pair (numerator,
+denominator) by _monomial; a Fraction is built only for a value that leaves
+the construction (a lift c_s or f_s, a coordinate Q_i).
 """
 from __future__ import annotations
 
@@ -52,6 +57,16 @@ def _crt(residues) -> tuple:
     return r, m
 
 
+def _scan_order(r: int, M: int):
+    """r, then r - tM and r + tM for t = 1, 2, ...: the candidate of smaller
+    |n| first, n > 0 first on a tie, 0 skipped.  With 0 <= r < M, r - tM is
+    the smaller unless r = 0, where the two tie."""
+    if r:
+        yield r
+    for t in count(1):
+        yield from (r - t * M, r + t * M) if r else (t * M, -t * M)
+
+
 def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
                            avoid: Sequence[int] = ()) -> list:
     """R pairwise coprime squarefree elements of Z[1/S] meeting every constraint.
@@ -69,17 +84,21 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     primes = [c.p for c in constraints]
     if len(set(primes)) != len(primes):
         raise ValueError("constraint primes must be distinct")
-    prefactor = Fraction(1)
+    pnum = pden = 1  # prefactor = pnum / pden
     for c in constraints:
-        prefactor *= Fraction(c.p) ** v_p(c.target, c.p)
+        v = v_p(c.target, c.p)
+        if v > 0:
+            pnum *= c.p ** v
+        else:
+            pden *= c.p ** -v
     residues = []
     for c in constraints:
         # target/prefactor is a p-adic unit: the other constraints' prime
         # powers must be congruent away too, not just the p-part
-        unit = c.target / prefactor
+        un, ud = c.target.numerator * pden, c.target.denominator * pnum
+        g = math.gcd(un, ud)
         mod = c.p ** c.k
-        r = unit.numerator * pow(unit.denominator, -1, mod) % mod
-        residues.append((r, mod))
+        residues.append((un // g * pow(ud // g, -1, mod) % mod, mod))
     r, M = _crt(residues)
 
     out = []
@@ -87,27 +106,28 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     taken = math.prod(avoid)
     cap = _scan_cap()
     scanned = 0
-    for t in count():
-        for n in sorted({r - t * M, r + t * M} - {0}, key=lambda n: (abs(n), n < 0)):
-            if scanned >= cap:
-                raise ScanCapExhausted(
-                    f"no further admissible squarefree value within {cap} candidates "
-                    f"(residue {r} mod {M}, {len(out)} of {R} found)")
-            scanned += 1
-            if is_squarefree(n) and math.gcd(n, taken) == 1:
-                taken *= n
-                out.append(prefactor * n)
-                if len(out) == R:
-                    return out
+    for n in _scan_order(r, M):
+        if scanned >= cap:
+            raise ScanCapExhausted(
+                f"no further admissible squarefree value within {cap} candidates "
+                f"(residue {r} mod {M}, {len(out)} of {R} found)")
+        scanned += 1
+        if is_squarefree(n) and math.gcd(n, taken) == 1:
+            taken *= n
+            out.append(Fraction(pnum * n, pden))
+            if len(out) == R:
+                return out
 
 
 class GammaData(NamedTuple):
-    """Single-ray generators of the multiplicity set and the matrix of their
-    phi-images, surjective onto N."""
+    """Single-ray generators of the multiplicity set, the matrix of their
+    phi-images, surjective onto N, a right inverse, and the exponents of the
+    Cox coordinates in each local exponent c_s."""
 
     generators: tuple  # multiplicity vectors, one nonzero entry each
     gamma: tuple  # d x l rows, columns phi(m_s)
     rinv: tuple  # l x d rows with gamma rinv = identity
+    exponents: tuple  # l x n rows, E = rinv R^T for the ray matrix R_ij = n_i[j]
 
 
 def build_gamma(pair: ToricPair) -> GammaData:
@@ -121,44 +141,41 @@ def build_gamma(pair: ToricPair) -> GammaData:
     if rinv is None:
         raise ValueError("N_M is a proper sublattice of N (index != 1): "
                          "the recombination construction does not apply")
-    return GammaData(gens, gamma, rinv)
+    exponents = tuple(tuple(sum(r * x for r, x in zip(row, ray)) for ray in fan.rays)
+                      for row in rinv)
+    return GammaData(gens, gamma, rinv, exponents)
 
 
-def _characters(fan, coords) -> list:
-    """a_j = prod_i coord_i^(n_i[j]), the G-invariant coordinates of the torus."""
-    out = []
-    for j in range(fan.dim):
-        a = Fraction(1)
-        for c, ray in zip(coords, fan.rays):
-            a *= Fraction(c) ** ray[j]
-        out.append(a)
-    return out
+def _monomial(coords, exps) -> tuple:
+    """prod_i coords_i^(exps_i) as integers (num, den), den nonzero and the
+    pair not necessarily in lowest terms, for nonzero ints or Fractions."""
+    num = den = 1
+    for c, e in zip(coords, exps):
+        if e > 0:
+            num *= c.numerator ** e
+            den *= c.denominator ** e
+        elif e < 0:
+            num *= c.denominator ** -e
+            den *= c.numerator ** -e
+    return num, den
 
 
-def solve_local_exponents(pair: ToricPair, gd: GammaData, target: CoxPoint) -> list:
-    """Rationals c_s with prod_s c_s^(m_s) equal to the target modulo G."""
+def solve_local_exponents(gd: GammaData, target: CoxPoint) -> list:
+    """Rationals c_s with prod_s c_s^(m_s) equal to the target modulo G.
+
+    c_s = prod_j a_j^(rinv[s][j]) for the torus characters
+    a_j = prod_i t_i^(R_ij), that is c_s = prod_i t_i^(E[s][i]) with
+    E = rinv R^T (gd.exponents): one monomial per s."""
     if target.zero_support():
         raise ValueError("targets must have all-nonzero coordinates")
-    a = _characters(pair.fan, target.coords)
-    cs = []
-    for row in gd.rinv:
-        c = Fraction(1)
-        for aj, r in zip(a, row):
-            c *= aj ** r
-        cs.append(c)
-    return cs
+    return [Fraction(*_monomial(target.coords, row)) for row in gd.exponents]
 
 
 def recombine(pair: ToricPair, gd: GammaData, cs: Sequence[Fraction]) -> tuple:
-    """Coordinates Q_i = prod_s c_s^(m_(s,i))."""
-    n = len(pair.fan.rays)
-    coords = []
-    for i in range(n):
-        q = Fraction(1)
-        for c, m in zip(cs, gd.generators):
-            q *= c ** m[i]
-        coords.append(q)
-    return tuple(coords)
+    """Coordinates Q_i = prod_s c_s^(m_(s,i)), each one integer monomial in
+    the c_s turned into a Fraction."""
+    return tuple(Fraction(*_monomial(cs, [m[i] for m in gd.generators]))
+                 for i in range(len(pair.fan.rays)))
 
 
 class ApproxCertificate(NamedTuple):
@@ -183,10 +200,27 @@ class ApproxCertificate(NamedTuple):
 
 def _closeness_valuation(pair, p, Q_coords, target_coords):
     """min_j v_p(a_j(Q)/a_j(target) - 1), the G-invariant distance: INF on an
-    exact match."""
-    aq = _characters(pair.fan, Q_coords)
-    at = _characters(pair.fan, target_coords)
-    return min(INF if x == y else v_p(x / y - 1, p) for x, y in zip(aq, at))
+    exact match.
+
+    a_j(Q)/a_j(target) = prod_i (Q_i/t_i)^(R_ij) = N/D in integers, so the
+    term is INF iff N == D, and v_p(N - D) - v_p(D) otherwise."""
+    out = INF
+    for j in range(pair.fan.dim):
+        col = [ray[j] for ray in pair.fan.rays]
+        qn, qd = _monomial(Q_coords, col)
+        tn, td = _monomial(target_coords, col)
+        N, D = qn * td, qd * tn
+        if N != D:
+            out = min(out, v_p(N - D, p) - v_p(D, p))
+    return out
+
+
+def _guard_digits(p: int, msum: int) -> int:
+    """The least g >= 1 with p^g >= msum, which is max(1, ceil(log_p msum))."""
+    g = 1
+    while p ** g < msum:
+        g += 1
+    return g
 
 
 def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
@@ -223,14 +257,17 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
         pt = CoxPoint.make(fan, [1] * len(fan.rays))
         w = is_m_point(pair, pt)
         return ApproxCertificate(pt, (), (), (), w)
-    gd = build_gamma(pair)
     primes = tuple(sorted(targets))
+    for p in primes:
+        k = targets[p][1]
+        if type(k) is not int or k < 1:  # a bool is not an int here
+            raise ValueError(f"digits at p={p} must be an integer >= 1, got {k!r}")
+    gd = build_gamma(pair)
     # closeness needs no guard digits (see above): they only fix which point
     # is built
     msum = max(sum(m[i] for m in gd.generators) for i in range(len(fan.rays)))
-    digits = {p: targets[p][1] + max(1, math.ceil(math.log(msum, p))) for p in primes}
-    cs_by_prime = {p: solve_local_exponents(pair, gd, targets[p][0])
-                   for p in primes}
+    digits = {p: targets[p][1] + _guard_digits(p, msum) for p in primes}
+    cs_by_prime = {p: solve_local_exponents(gd, targets[p][0]) for p in primes}
     lifts = []
     for s in range(len(gd.generators)):
         cons = [LocalConstraint(p, cs_by_prime[p][s], digits[p]) for p in primes]

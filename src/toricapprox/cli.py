@@ -117,11 +117,13 @@ def parse_point(fan: Fan, arg: str) -> CoxPoint:
 
 
 def parse_targets(fan: Fan, arg: str) -> dict:
-    """{"p": {"point": {"coords": [...]}, "digits": k}, ...} as {p: (point, k)}."""
+    """{"p": {"point": {"coords": [...]}, "digits": k}, ...} as {p: (point, k)}.
+
+    k is passed on as given: m_point_approximate rejects anything but an
+    integer >= 1."""
     raw = _load_json_arg(arg)
     try:
-        targets = {int(p): (CoxPoint.from_json(fan, spec["point"]),
-                            int(spec.get("digits", 1)))
+        targets = {int(p): (CoxPoint.from_json(fan, spec["point"]), spec.get("digits", 1))
                    for p, spec in raw.items()}
     except (TypeError, AttributeError, ArithmeticError) as e:
         raise InputError(f"cannot read targets: {e}")

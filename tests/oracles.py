@@ -7,18 +7,21 @@ elimination over the rationals.  It reads a multiplicity vector off a
 valuation key (points._multiplicities); the tests check it against the
 coprime integer representative on projective space and against a solve on the
 minimal containing cone elsewhere.  The censuses decide each magnitude
-pattern once; the signed-box oracles decide every signed tuple.
+pattern once; the signed-box oracles decide every signed tuple.  The point
+construction evaluates integer monomials; the approximation oracles multiply
+Fractions character by character.
 """
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
+from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
 from toricapprox.conditions import _phi
 from toricapprox.enumerate import _coprime_box, _sign_group
 from toricapprox.fan import (Fan, RefinementMap, _cone_inverses, _is_primitive,
                              minimal_cone_containing)
 from toricapprox.intlat import INF, cone_coords
-from toricapprox.points import CoxPoint, m_point_check, v_p
+from toricapprox.points import CoxPoint, is_squarefree, m_point_check, v_p
 
 
 def solve_rational(Arows: list, b: list):
@@ -120,6 +123,96 @@ def signed_box_toric(pair, H: int) -> tuple:
             seen.add(min(tuple(m * (1 if a > 0 else -1) * s for m, a, s in zip(mags, tup, g))
                          for g in _sign_group(fan)))
     return tuple(sorted(seen))
+
+
+# ---------------------------------------------------------------------------
+# The point construction in Fractions
+# ---------------------------------------------------------------------------
+
+def characters(fan, coords) -> list:
+    """a_j = prod_i coord_i^(n_i[j]), the G-invariant coordinates of the torus."""
+    out = []
+    for j in range(fan.dim):
+        a = Fraction(1)
+        for c, ray in zip(coords, fan.rays):
+            a *= Fraction(c) ** ray[j]
+        out.append(a)
+    return out
+
+
+def local_exponents(pair, gd, target) -> list:
+    """c_s = prod_j a_j(target)^(rinv[s][j])."""
+    a = characters(pair.fan, target.coords)
+    cs = []
+    for row in gd.rinv:
+        c = Fraction(1)
+        for aj, r in zip(a, row):
+            c *= aj ** r
+        cs.append(c)
+    return cs
+
+
+def recombined(pair, gd, cs) -> tuple:
+    """Q_i = prod_s c_s^(m_(s,i))."""
+    coords = []
+    for i in range(len(pair.fan.rays)):
+        q = Fraction(1)
+        for c, m in zip(cs, gd.generators):
+            q *= c ** m[i]
+        coords.append(q)
+    return tuple(coords)
+
+
+def closeness(pair, p, Q_coords, target_coords):
+    """min_j v_p(a_j(Q)/a_j(target) - 1), INF on an exact match."""
+    aq = characters(pair.fan, Q_coords)
+    at = characters(pair.fan, target_coords)
+    return min(INF if x == y else v_p(x / y - 1, p) for x, y in zip(aq, at))
+
+
+def squarefree_lift(constraints, avoid) -> Fraction:
+    """The first squarefree lift of the scan, prefactor and residue in
+    Fractions, candidates ordered by sorting each pair {r - tM, r + tM}."""
+    prefactor = Fraction(1)
+    for c in constraints:
+        prefactor *= Fraction(c.p) ** v_p(c.target, c.p)
+    residues = []
+    for c in constraints:
+        unit = c.target / prefactor
+        mod = c.p ** c.k
+        residues.append((unit.numerator * pow(unit.denominator, -1, mod) % mod, mod))
+    r, M = 0, 1
+    for ri, mi in residues:
+        r = (r * mi * pow(mi, -1, M) + ri * M * pow(M, -1, mi)) % (M * mi)
+        M *= mi
+    taken = math.prod(avoid)
+    for t in count():
+        for n in sorted({r - t * M, r + t * M} - {0}, key=lambda n: (abs(n), n < 0)):
+            if is_squarefree(n) and math.gcd(n, taken) == 1:
+                return prefactor * n
+
+
+def approximate(pair, targets) -> dict:
+    """m_point_approximate(pair, targets).to_json() through the Fraction
+    oracles, for a nonempty targets dict."""
+    fan = pair.fan
+    gd = build_gamma(pair)
+    primes = tuple(sorted(targets))
+    msum = max(sum(m[i] for m in gd.generators) for i in range(len(fan.rays)))
+    digits = {p: targets[p][1] + next(g for g in count(1) if p ** g >= msum)
+              for p in primes}
+    cs = {p: local_exponents(pair, gd, targets[p][0]) for p in primes}
+    lifts = []
+    for s in range(len(gd.generators)):
+        lifts.append(squarefree_lift([LocalConstraint(p, cs[p][s], digits[p]) for p in primes],
+                                     [f.numerator for f in lifts]))
+    coords = recombined(pair, gd, lifts)
+    point = CoxPoint.make(fan, coords)
+    witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
+                                   {}, primes)
+    close = tuple((p, targets[p][1], closeness(pair, p, coords, targets[p][0].coords))
+                  for p in primes)
+    return ApproxCertificate(point, close, mults, primes, witness).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import math
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+from toricapprox import approx
 from toricapprox.approx import (
     ApproxCertificate,
     GammaData,
     LocalConstraint,
     ScanCapExhausted,
+    _closeness_valuation,
+    _guard_digits,
+    _scan_order,
     build_gamma,
     m_point_approximate,
     recombine,
@@ -22,6 +28,7 @@ from toricapprox.points import CoxPoint, is_m_point, is_squarefree, v_p
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+P3 = projective_space(3)
 
 
 def test_squarefree_smallest_solutions():
@@ -70,6 +77,16 @@ def test_squarefree_negative_valuation_target():
     assert f == Fraction(5, 9) or v_p(f - Fraction(5, 9), 3) >= 0
 
 
+def test_scan_order_is_each_pair_sorted_by_size():
+    """For t >= 1, r - tM comes before r + tM, except r + tM first when r = 0;
+    that is the order of sorting {r - tM, r + tM} - {0} by (|n|, n < 0)."""
+    for M in range(1, 14):
+        for r in range(M):
+            want = (n for t in count() for n in sorted({r - t * M, r + t * M} - {0},
+                                                       key=lambda n: (abs(n), n < 0)))
+            assert list(islice(_scan_order(r, M), 30)) == list(islice(want, 30))
+
+
 def test_scan_cap(monkeypatch):
     monkeypatch.setenv("TORICAPPROX_SCAN_CAP", "3")
     # n = 2 mod 5 starts 2, 7, -3; blocking all three exhausts the cap
@@ -95,6 +112,8 @@ def test_build_gamma_p1():
     prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*gd.rinv))
                  for row in gd.gamma)
     assert prod == ((1,),)
+    # E = rinv R^T with the rays (1) and (-1)
+    assert gd.exponents == tuple((r[0], -r[0]) for r in gd.rinv)
 
 
 def test_build_gamma_rejects_proper_sublattice():
@@ -107,11 +126,10 @@ def test_recombination_identity():
     gd = build_gamma(pair)
     target = CoxPoint.make(pair.fan, [Fraction(4), Fraction(3), Fraction(5),
                                       Fraction(7, 2)])
-    cs = solve_local_exponents(pair, gd, target)
+    cs = solve_local_exponents(gd, target)
     coords = recombine(pair, gd, cs)
     # the recombined point agrees with the target in the torus quotient
-    from toricapprox.approx import _characters
-    assert _characters(pair.fan, coords) == _characters(pair.fan, target.coords)
+    assert oracles.characters(pair.fan, coords) == oracles.characters(pair.fan, target.coords)
 
 
 def test_m_point_approximate_p1():
@@ -159,14 +177,48 @@ def test_m_point_approximate_rejects_singular_inputs():
         m_point_approximate(pair, {})
 
 
+def test_guard_digits_are_exact_at_powers_of_p():
+    """The least g >= 1 with p^g >= msum, in integers: float logarithms put
+    ceil(log_5 125) at 4."""
+    assert _guard_digits(5, 125) == 3
+    for p in (2, 3, 5, 7, 11, 13):
+        assert _guard_digits(p, 1) == _guard_digits(p, p) == 1
+        for g in range(1, 12):
+            assert _guard_digits(p, p ** g) == g
+            assert _guard_digits(p, p ** g + 1) == g + 1
+
+
+def test_guard_at_an_exact_power_of_p():
+    """msum = 125 at p = 5 gets 3 guard digits, so the lifts are taken to
+    1 + 3 digits; with 4 guard digits the point was (1 : -1561)."""
+    pair = ToricPair(P1, darmon([125, 1]))
+    cert = m_point_approximate(pair, {5: (CoxPoint.make(P1, [2, 3]), 1)})
+    assert cert.point.coords == (1, 314)
+    assert cert.closeness == ((5, 1, 4),)
+    assert cert.verified()
+
+
+@pytest.mark.parametrize("digits", [-1, 0, True, False, 2.7, "2", None])
+def test_bad_digits_raise_before_the_guard(monkeypatch, digits):
+    def guard(p, msum):
+        raise AssertionError("guard digits computed for a bad request")
+
+    monkeypatch.setattr(approx, "_guard_digits", guard)
+    target = CoxPoint.make(P2, [1, 3, 5])
+    with pytest.raises(ValueError, match="digits at p=2 must be an integer >= 1"):
+        m_point_approximate(ToricPair(P2, campana([2, 2, 2])), {2: (target, digits)})
+
+
 _FANS = [P1, P2, product(P1, P1)] + [hirzebruch(r) for r in range(4)]
+_COORD = st.builds(lambda a, sign, d: Fraction(sign * a, d), st.integers(1, 30),
+                   st.sampled_from((1, -1)), st.integers(1, 12))
 
 
 @st.composite
-def _index_one_requests(draw):
+def _index_one_requests(draw, fans=tuple(_FANS)):
     """An index-1 PRODUCT pair with targets at one prime <= 13 (1-3 digits) or
     at two primes (1 digit), the target coordinates with denominators."""
-    fan = draw(st.sampled_from(_FANS))
+    fan = draw(st.sampled_from(fans))
     m = st.integers(1, 5)
     cond = st.one_of(st.just(DivisorCondition(Kind.ANY)),
                      st.just(DivisorCondition(Kind.SQUAREFREE)),
@@ -183,9 +235,7 @@ def _index_one_requests(draw):
     n_primes = draw(st.sampled_from((1, 2)))
     primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=n_primes,
                            max_size=n_primes, unique=True))
-    coord = st.builds(lambda a, sign, d: Fraction(sign * a, d), st.integers(1, 30),
-                      st.sampled_from((1, -1)), st.integers(1, 12))
-    targets = {p: (CoxPoint.make(fan, [draw(coord) for _ in fan.rays]),
+    targets = {p: (CoxPoint.make(fan, [draw(_COORD) for _ in fan.rays]),
                    draw(st.integers(1, 3 if n_primes == 1 else 1)))
                for p in primes}
     return pair, targets
@@ -204,3 +254,25 @@ def test_the_first_construction_verifies(request):
     gens = set(pair.conditions.single_ray_vectors())
     for _, vector in cert.multiplicities:
         assert tuple(vector) in gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_one_requests(fans=(*_FANS, P3)), st.data())
+def test_integer_construction_equals_the_fraction_oracle(request, data):
+    """Every integer monomial of the construction equals its Fraction loop in
+    tests/oracles.py, negative exponents (H_r) and signed targets with
+    denominators included, and so does the whole certificate."""
+    pair, targets = request
+    gd = build_gamma(pair)
+    other = CoxPoint.make(pair.fan, data.draw(st.lists(_COORD, min_size=len(pair.fan.rays),
+                                                       max_size=len(pair.fan.rays))))
+    for p, (target, _) in targets.items():
+        cs = solve_local_exponents(gd, target)
+        assert cs == oracles.local_exponents(pair, gd, target)
+        assert all(type(c) is Fraction for c in cs)
+        coords = recombine(pair, gd, cs)
+        assert coords == oracles.recombined(pair, gd, cs)
+        for Q in (coords, other.coords):
+            assert (_closeness_valuation(pair, p, Q, target.coords)
+                    == oracles.closeness(pair, p, Q, target.coords))
+    assert m_point_approximate(pair, targets).to_json() == oracles.approximate(pair, targets)

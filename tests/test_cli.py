@@ -333,6 +333,10 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
     # conditions that do not fit the fan: validate prints nothing on stdout
     *[(["validate", "--fan", "p2", "--darmon", "2,2"] + json_flag,
        "multiplicity set arity must equal the number of rays") for json_flag in ([], ["--json"])],
+    # digits that are not an integer >= 1 (a JSON boolean is not one)
+    *[(["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+        json.dumps({"2": {"point": {"coords": ["1", "3", "5"]}, "digits": k}})],
+       f"digits at p=2 must be an integer >= 1, got {k!r}") for k in (-1, 0, True, 2.7)],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)

@@ -60,6 +60,20 @@ CASES = [
       '{"coords": ["8", "9", "1"]}', "--exclude", "4"], {}),
     (["approximate", "--fan", "p1", "--darmon", "2,3", "--targets", _T7],
      {"TORICAPPROX_SCAN_CAP": "1"}),
+    # the integer construction: two primes on P^2, negative exponents on H_2
+    # (rays with negative entries), two primes on P^1 x P^1
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets", json.dumps(
+        {"7": {"point": {"coords": ["1", "2", "3"]}, "digits": 2},
+         "11": {"point": {"coords": ["-2/5", "3", "7"]}, "digits": 1}})], {}),
+    (["approximate", "--fan", "hirzebruch:2", "--campana", "2,1,1,3", "--targets",
+      json.dumps({"3": {"point": {"coords": ["-3/4", "5", "2/9", "7"]}, "digits": 2}}),
+      "--json"], {}),
+    (["approximate", "--fan", "hirzebruch:2", "--darmon", "2,3,1,5", "--targets", json.dumps(
+        {"2": {"point": {"coords": ["-3/4", "5", "2/9", "7"]}, "digits": 1},
+         "5": {"point": {"coords": ["6", "-1/25", "3", "2/7"]}, "digits": 1}})], {}),
+    (["approximate", "--fan", "p1xp1", "--darmon", "2,3,2,5", "--targets", json.dumps(
+        {"2": {"point": {"coords": ["3", "-5/3", "7", "1/11"]}, "digits": 1},
+         "13": {"point": {"coords": ["2", "9", "-4", "5/7"]}, "digits": 1}}), "--json"], {}),
 ]
 
 

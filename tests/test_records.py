@@ -49,7 +49,8 @@ RECORDS = [
     (CoxPoint, dict(fan=P1, coords=(Fraction(1, 2), Fraction(0)))),
     (MPointWitness, dict(ok=False, prime=3, vector=(1, 0))),
     (LocalConstraint, dict(p=7, target=Fraction(-2, 3), k=2)),
-    (GammaData, dict(generators=((2, 0), (0, 3)), gamma=((2, -3),), rinv=((-1,), (-1,)))),
+    (GammaData, dict(generators=((2, 0), (0, 3)), gamma=((2, -3),), rinv=((-1,), (-1,)),
+                     exponents=((-1, 1), (-1, 1)))),
     (ApproxCertificate, dict(point=POINT, closeness=((7, 2, INF),), multiplicities=(),
                              excluded_primes=(7,), witness=WITNESS)),
     (Census, dict(pair=PAIR, height=3, count=1, points=((1, 1),), normalization_note="h")),
