@@ -226,9 +226,10 @@ def _guard_digits(p: int, msum: int) -> int:
 def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     """An M-point p-adically close to each target, with a recomputed certificate.
 
-    targets maps a prime to (CoxPoint, digits).  Requires a smooth complete fan
-    and N_M = N.  One point is built, from one squarefree lift per single-ray
-    generator m_s, and its certificate is recomputed through the points module.
+    targets maps a prime to (CoxPoint on pair.fan, digits).  Requires a smooth
+    complete fan and N_M = N.  One point is built, from one squarefree lift per
+    single-ray generator m_s, and its certificate is recomputed through the
+    points module.
     The construction always verifies:
 
     * Closeness.  solve_local_exponents gives c_s with a(recombine(c)) =
@@ -259,6 +260,8 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
         return ApproxCertificate(pt, (), (), (), w)
     primes = tuple(sorted(targets))
     for p in primes:
+        if targets[p][0].fan != fan:
+            raise ValueError(f"target at p={p} lies on another fan than the pair's")
         k = targets[p][1]
         if type(k) is not int or k < 1:  # a bool is not an int here
             raise ValueError(f"digits at p={p} must be an integer >= 1, got {k!r}")

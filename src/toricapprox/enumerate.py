@@ -45,11 +45,16 @@ class Census(NamedTuple):
 
 def _coprime_box(n: int, H: int):
     """The coprime integer n-tuples of absolute value at most H whose first
-    nonzero coordinate is positive, in product order."""
-    for tup in _iter_product(range(-H, H + 1), repeat=n):
-        # gcd of the all-zero tuple is 0, so it is dropped here too
-        if gcd(*tup) == 1 and next(x for x in tup if x) > 0:
-            yield tup
+    nonzero coordinate is positive, in product order.
+
+    In product order on [-H, H]^n these are the tuples with k leading zeros
+    for k = n - 1 down to 0, each block in the product order of its tail
+    [1, H] x [-H, H]^(n-k-1), so only the kept half of the box is walked."""
+    for k in range(n - 1, -1, -1):
+        zeros = (0,) * k
+        for tail in _iter_product(range(1, H + 1), *[range(-H, H + 1)] * (n - k - 1)):
+            if gcd(*tail) == 1:
+                yield zeros + tail
 
 
 def enumerate_projective(pair: ToricPair, H: int) -> Census:
@@ -191,7 +196,12 @@ def _oracle_admits(cond, a: int) -> bool:
 
 def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
     """Compare is_m_point with the coordinatewise arithmetic oracle on the
-    whole coprime box of height H."""
+    whole coprime box of height H.
+
+    Every signed tuple goes through m_point_check.  The oracle verdict of a
+    tuple is the AND of its coordinates' verdicts, which depend only on the
+    divisor and the signed value, so each (divisor, value) is judged once, in
+    a table that lives for this call."""
     if H < 1:
         raise ValueError("height bound must be at least 1")
     fan = pair.fan
@@ -202,12 +212,20 @@ def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
     conds = pair.conditions.conditions
     admits = pair.conditions.admits_vector
     verdicts = {}
+    oracle = [{} for _ in conds]  # per divisor: signed value -> oracle verdict
     checked = 0
     divergences = []
     for tup in _coprime_box(len(fan.rays), H):
         checked += 1
         fan_v = m_point_check(fan, tup, admits, verdicts)[0].ok
-        oracle_v = all(_oracle_admits(c, a) for c, a in zip(conds, tup))
+        oracle_v = True
+        for c, table, a in zip(conds, oracle, tup):
+            v = table.get(a)
+            if v is None:
+                v = table[a] = _oracle_admits(c, a)
+            if not v:
+                oracle_v = False
+                break
         if fan_v != oracle_v:
             divergences.append((tup, fan_v, oracle_v))
     return CrosscheckReport(checked, tuple(divergences))

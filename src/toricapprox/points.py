@@ -248,15 +248,16 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
     """The M-point verdict of the point with Cox coordinates coords on fan, at
     every prime outside skip: (witness, multiplicity vectors).
 
-    coords are ints or Fractions whose zeros span a cone.  Each numerator and
-    denominator is factored once into the valuation vector (v_p(x_i))_i of
-    every prime p dividing one.  Its key is the vector itself at an interior
-    point; at a boundary point it is INF on the zero set and each finite entry
-    less the least finite one, which is the valuation vector of the coprime
-    integer representative.  The per-fan memo maps a key to its multiplicity
-    vector; a key not in it goes once through _multiplicities.  verdicts maps
-    a key to (admits(vector), vector); a caller may keep it across points of
-    one multiplicity set.  At a boundary point the generic vector (INF on the
+    coords are ints or Fractions whose zeros span a cone.  The cached
+    factorization of each |numerator| and denominator (an int is its own
+    numerator) is read in place, without a copy, into the valuation vector
+    (v_p(x_i))_i of every prime p dividing one.  Its key is the vector itself
+    at an interior point; at a boundary point it is INF on the zero set and
+    each finite entry less the least finite one, which is the valuation vector
+    of the coprime integer representative.  The per-fan memo maps a key to its
+    multiplicity vector; a key not in it goes once through _multiplicities.
+    verdicts maps a key to (admits(vector), vector); a caller may keep it
+    across points of one multiplicity set.  At a boundary point the generic vector (INF on the
     zero set, 0 elsewhere) is checked first, and a failure there returns at
     once with vectors None.  The witness names the least failing prime;
     vectors holds (p, vector) at every prime outside skip, ascending.  The
@@ -299,9 +300,11 @@ def _valuation_keys(coords, zeros: int, skip) -> list:
     n = len(coords)
     vals = {}
     for i, c in enumerate(coords):
-        for part, sign in ((c.numerator, 1), (c.denominator, -1)):
-            if part not in (1, -1, 0):
-                for p, e in factorize(part).items():
+        for part, sign in (((c, 1),) if isinstance(c, int)
+                           else ((c.numerator, 1), (c.denominator, -1))):
+            part = abs(part)
+            if part > 1:
+                for p, e in _factorize_cached(part):
                     row = vals.get(p)
                     if row is None:
                         row = vals[p] = [0] * n

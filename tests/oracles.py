@@ -7,7 +7,9 @@ elimination over the rationals.  It reads a multiplicity vector off a
 valuation key (points._multiplicities); the tests check it against the
 coprime integer representative on projective space and against a solve on the
 minimal containing cone elsewhere.  The censuses decide each magnitude
-pattern once; the signed-box oracles decide every signed tuple.  The point
+pattern once; the signed-box oracles walk the whole box [-H, H]^n and decide
+every signed tuple.  crosscheck judges each (divisor, value) once; its oracle
+here asks the arithmetic oracle again for every tuple.  The point
 construction evaluates integer monomials; the approximation oracles multiply
 Fractions character by character.
 """
@@ -17,7 +19,7 @@ from itertools import count, product
 
 from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
 from toricapprox.conditions import _phi
-from toricapprox.enumerate import _coprime_box, _sign_group
+from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
 from toricapprox.fan import (Fan, RefinementMap, _cone_inverses, _is_primitive,
                              minimal_cone_containing)
 from toricapprox.intlat import INF, cone_coords
@@ -97,12 +99,41 @@ def mult_oracle(p: int, P: CoxPoint) -> tuple:
 # Censuses over the whole signed box
 # ---------------------------------------------------------------------------
 
+def coprime_box(n: int, H: int):
+    """The coprime integer n-tuples of absolute value at most H whose first
+    nonzero coordinate is positive, in product order, filtered from the whole
+    box [-H, H]^n."""
+    for tup in product(range(-H, H + 1), repeat=n):
+        if all(x == 0 for x in tup):
+            continue
+        nz = [x for x in tup if x != 0]
+        if nz[0] < 0 or math.gcd(*[abs(x) for x in tup]) != 1:
+            continue
+        yield tup
+
+
 def signed_box_projective(pair, H: int) -> tuple:
     """The M-points of the coprime box of height H on P^n, first nonzero
     coordinate positive, in product order: one m_point_check per tuple."""
     fan, admits, verdicts = pair.fan, pair.conditions.admits_vector, {}
-    return tuple(tup for tup in _coprime_box(len(fan.rays), H)
+    return tuple(tup for tup in coprime_box(len(fan.rays), H)
                  if m_point_check(fan, tup, admits, verdicts)[0].ok)
+
+
+def crosscheck(pair, H: int) -> CrosscheckReport:
+    """enumerate.crosscheck with the arithmetic oracle asked for every
+    coordinate of every tuple of the coprime box."""
+    fan, admits, verdicts = pair.fan, pair.conditions.admits_vector, {}
+    conds = pair.conditions.conditions
+    checked = 0
+    divergences = []
+    for tup in coprime_box(len(fan.rays), H):
+        checked += 1
+        fan_v = m_point_check(fan, tup, admits, verdicts)[0].ok
+        oracle_v = all(_oracle_admits(c, a) for c, a in zip(conds, tup))
+        if fan_v != oracle_v:
+            divergences.append((tup, fan_v, oracle_v))
+    return CrosscheckReport(checked, tuple(divergences))
 
 
 def signed_box_toric(pair, H: int) -> tuple:

@@ -209,6 +209,19 @@ def test_bad_digits_raise_before_the_guard(monkeypatch, digits):
         m_point_approximate(ToricPair(P2, campana([2, 2, 2])), {2: (target, digits)})
 
 
+@pytest.mark.parametrize("pair,target", [
+    # too few coordinates: zipped against the rays, they were truncated
+    (ToricPair(P2, campana([2, 2, 2])), CoxPoint.make(P1, [2, 3])),
+    # as many coordinates, on a fan with other rays
+    (ToricPair(product(P1, P1), campana([2, 2, 2, 2])), CoxPoint.make(hirzebruch(1), [2, 3, 5, 7])),
+])
+def test_target_off_the_pairs_fan_raises(pair, target):
+    """Both requests returned a certificate with verified() True and
+    closeness 3 to a point of another variety."""
+    with pytest.raises(ValueError, match="target at p=7 lies on another fan"):
+        m_point_approximate(pair, {7: (target, 2)})
+
+
 _FANS = [P1, P2, product(P1, P1)] + [hirzebruch(r) for r in range(4)]
 _COORD = st.builds(lambda a, sign, d: Fraction(sign * a, d), st.integers(1, 30),
                    st.sampled_from((1, -1)), st.integers(1, 12))

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from oracles import signed_box_projective, signed_box_toric
+import oracles
+from oracles import coprime_box, signed_box_projective, signed_box_toric
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -15,6 +16,7 @@ from toricapprox.conditions import (
 )
 from toricapprox.enumerate import (
     Census,
+    _coprime_box,
     _sign_group,
     canonical_interior,
     census_to_csv,
@@ -44,16 +46,6 @@ def multiplicity_vectors(P):
     """((p, multiplicity vector), ...) at the primes of P, as the M-point core
     reads them."""
     return m_point_check(P.fan, P.coords, lambda v: True, {})[1]
-
-
-def coprime_box(n, H):
-    for tup in product(range(-H, H + 1), repeat=n):
-        if all(x == 0 for x in tup):
-            continue
-        nz = [x for x in tup if x != 0]
-        if nz[0] < 0 or gcd(*[abs(x) for x in tup]) != 1:
-            continue
-        yield tup
 
 
 def test_p1_campana_anchor():
@@ -319,3 +311,67 @@ def test_toric_census_decides_each_magnitude_pattern_once(monkeypatch, pair, H):
     seen = _spy(monkeypatch)
     enumerate_toric(pair, H)
     assert seen == list(product(range(1, H + 1), repeat=len(pair.fan.rays)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coprime_box_walks_the_kept_half_in_product_order(n):
+    """The leading-zero blocks, most zeros first, give the tuples and the
+    order of filtering the whole box [-H, H]^n."""
+    assert list(_coprime_box(n, 0)) == []
+    for H in range(7):
+        assert list(_coprime_box(n, H)) == list(coprime_box(n, H)), H
+
+
+def _oracle_sets(n):
+    """Conditions of every kind with an arithmetic oracle on n rays, each
+    kind on every divisor, and one mix of kinds."""
+    conds = [DivisorCondition(Kind.ANY), DivisorCondition(Kind.INTEGRAL),
+             DivisorCondition(Kind.CAMPANA, 2), DivisorCondition(Kind.CAMPANA, INF),
+             DivisorCondition(Kind.DARMON, 2), DivisorCondition(Kind.DARMON, 3),
+             DivisorCondition(Kind.STRICT_DARMON, 2), DivisorCondition(Kind.SQUAREFREE),
+             DivisorCondition(Kind.FINITE_SET, values=(0, 1, 3)),
+             DivisorCondition(Kind.FINITE_SET, values=(0, 2), allow_infinity=True)]
+    return ([MultiplicitySet.of([c] * n) for c in conds]
+            + [MultiplicitySet.of([conds[(3 * i + 2) % len(conds)] for i in range(n)])])
+
+
+@pytest.mark.parametrize("fan,H", [(P1, 30), (P2, 8), (projective_space(3), 4)])
+def test_crosscheck_equals_the_per_tuple_oracle(monkeypatch, fan, H):
+    """Judging each (divisor, value) once gives the report, checked count and
+    divergences in box order, of asking the oracle for every tuple; also with
+    the core's verdict flipped on every fifth tuple of the box."""
+    pairs = [ToricPair(fan, ms) for ms in _oracle_sets(len(fan.rays))]
+    for pair in pairs:
+        assert crosscheck(pair, H) == oracles.crosscheck(pair, H), pair.conditions
+    box = list(coprime_box(len(fan.rays), H))
+    flip = set(box[::5])
+    real = points.m_point_check
+
+    def flipping(fan, coords, *rest):
+        witness, vectors = real(fan, coords, *rest)
+        if tuple(coords) in flip:
+            witness = witness._replace(ok=not witness.ok)
+        return witness, vectors
+
+    monkeypatch.setattr(enumerate_module, "m_point_check", flipping)
+    monkeypatch.setattr(oracles, "m_point_check", flipping)
+    for pair in pairs:
+        rep = crosscheck(pair, H)
+        assert rep == oracles.crosscheck(pair, H), pair.conditions
+        assert rep.checked == len(box)
+        assert [d[0] for d in rep.divergences] == [t for t in box if t in flip]
+
+
+def test_crosscheck_asks_the_oracle_once_per_divisor_and_signed_value(monkeypatch):
+    """The oracle table is keyed on the signed value, so negative values still
+    reach the oracle, each once per divisor."""
+    ms = MultiplicitySet.of([DivisorCondition(Kind.CAMPANA, 2), DivisorCondition(Kind.DARMON, 3),
+                             DivisorCondition(Kind.SQUAREFREE)])
+    real = enumerate_module._oracle_admits
+    calls = []
+    monkeypatch.setattr(enumerate_module, "_oracle_admits",
+                        lambda c, a: calls.append((c, a)) or real(c, a))
+    H = 6
+    crosscheck(ToricPair(P2, ms), H)
+    assert len(calls) == len(set(calls))
+    assert {a for c, a in calls if c == ms.conditions[1]} == set(range(-H, H + 1))

@@ -432,3 +432,21 @@ def test_m_point_check_is_blind_to_signs(fan_case, kind, data):
     flipped = [s * c for s, c in zip(flips, coords)]
     want = m_point_check(fan, coords, admits, {})
     assert m_point_check(fan, flipped, admits, {}) == want, (coords, flips)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PN), st.data())
+def test_int_coordinates_read_as_their_fractions(fan, data):
+    """An int coordinate is read as its own numerator: the witness and the
+    vectors of an int tuple, under every sign flip, are those of the same
+    tuple given as Fractions, at boundary points too."""
+    n = len(fan.rays)
+    admits = MultiplicitySet.of(
+        data.draw(st.lists(_CONDITION, min_size=n, max_size=n))).admits_vector
+    value = st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4))
+    tup = data.draw(st.lists(value, min_size=n, max_size=n).filter(any))
+    want = m_point_check(fan, [Fraction(a) for a in tup], admits, {})
+    for signs in product((1, -1), repeat=n):
+        flipped = [s * a for s, a in zip(signs, tup)]
+        assert m_point_check(fan, flipped, admits, {}) == want, flipped
+        assert m_point_check(fan, [Fraction(a) for a in flipped], admits, {}) == want, flipped
