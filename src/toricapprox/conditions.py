@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional, Sequence
 from .fan import Fan, NotPrincipal, RefinementMap, inverse_image_coefficients, is_smooth
 from .intlat import (
     INF,
-    LatticeBasis,
     QuotientStructure,
     cone_is_full,
     lattice_from_generators,
@@ -104,9 +103,6 @@ class DivisorCondition(namedtuple("DivisorCondition", "kind m values allow_infin
         if self.kind is Kind.FINITE_SET:
             return tuple(sorted(v for v in self.values if v > 0))
         raise AssertionError(self.kind)
-
-    def admits_infinity(self) -> bool:
-        return self.admits(INF)
 
     def finite_part_unbounded(self) -> bool:
         """True iff arbitrarily large finite multiplicities are admissible."""
@@ -223,9 +219,8 @@ class ToricPair(namedtuple("ToricPair", "fan conditions")):
 
 
 class PairInvariants(NamedTuple):
-    """N_M, its index and quotient, and the N_M^+ cone data."""
+    """The index and quotient of N_M, and the N_M^+ cone data."""
 
-    nm_basis: LatticeBasis
     index: object  # int >= 1 or INF
     quotient: QuotientStructure
     cone_generators: tuple
@@ -323,15 +318,13 @@ def _invariants_from_gens(pair: ToricPair, gens, notes=()) -> PairInvariants:
     """N_M from gens, its index read off the quotient, and whether cone(gens)
     is all of N_R."""
     d = pair.fan.dim
-    basis = lattice_from_generators(gens, d)
-    quot = quotient_invariants(basis, d)
+    quot = quotient_invariants(lattice_from_generators(gens, d), d)
     index = quot.order()
     full = cone_is_full(gens, d)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
         notes += (pair.conditions.describe(),)
     return PairInvariants(
-        nm_basis=basis,
         index=index,
         quotient=quot,
         cone_generators=tuple(tuple(g) for g in gens),
@@ -496,7 +489,7 @@ def mred_in_closure_of_mfin(pair: ToricPair) -> bool:
     ms = pair.conditions
     if ms.variant is Variant.PRODUCT:
         return all(c.finite_part_unbounded() for c in ms.conditions
-                   if c.admits_infinity())
+                   if c.admits(INF))
     if ms.variant is Variant.WEAK_CAMPANA:
         # a vector with an infinite entry is approximable iff finite admissible
         # vectors with that entry unbounded exist, i.e. some coordinate has a

@@ -21,7 +21,6 @@ from .points import (
     is_perfect_power,
     is_squarefree,
     m_point_check,
-    torus_kernel_basis,
     _is_projective_space,
 )
 
@@ -86,20 +85,13 @@ def enumerate_projective(pair: ToricPair, H: int) -> Census:
 
 @lru_cache(maxsize=256)
 def _sign_group(fan) -> tuple:
-    """The sign vectors of the relation torus: (-1)^k for k in the kernel of
-    the ray matrix, taken mod 2.  Cached per fan."""
-    basis = [tuple(k % 2 for k in kb) for kb in torus_kernel_basis(fan)]
-    n = len(fan.rays)
-    group = {tuple(0 for _ in range(n))}
-    frontier = list(group)
-    while frontier:
-        g = frontier.pop()
-        for b in basis:
-            h = tuple((x + y) % 2 for x, y in zip(g, b))
-            if h not in group:
-                group.add(h)
-                frontier.append(h)
-    return tuple(tuple(-1 if x else 1 for x in g) for g in sorted(group))
+    """The sign part of the relation torus: the s in {1, -1}^n with
+    prod_i s_i^<m, n_i> = 1 for every character m, that is, those whose rays
+    with s_i = -1 sum into 2Z^d, in the product order of (1, -1)^n.  Cached
+    per fan."""
+    return tuple(s for s in _iter_product((1, -1), repeat=len(fan.rays))
+                 if all(sum(r[j] for r, si in zip(fan.rays, s) if si < 0) % 2 == 0
+                        for j in range(fan.dim)))
 
 
 @lru_cache(maxsize=256)

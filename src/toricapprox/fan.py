@@ -19,7 +19,6 @@ from .intlat import (
     cone_coords,
     cone_inverse,
     lattice_from_generators,
-    rank,
 )
 
 
@@ -63,49 +62,19 @@ class NotPrincipal(NamedTuple):
     reason: str
 
 
-def _is_primitive(v) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
-
-
 def _cones_are_faces(fan: Fan, ca, cb) -> bool:
     """Check cone(ca) and cone(cb) intersect in the common face cone(ca & cb).
 
-    Decided by the existence of an exact separating functional u vanishing on
-    the shared rays, positive on the rest of ca and negative on the rest of cb.
+    Both cones are simplicial, so a point of cone(ca) has unique coordinates
+    on the rays of ca, and it lies in the face iff they vanish off ca & cb;
+    likewise for cb.  So the intersection is the face iff no x, y >= 0 satisfy
+    sum_ca x_i r_i = sum_cb y_j r_j with total weight 1 on the rays outside
+    ca & cb: one exact LP, whose answer this negates.
     """
-    shared = sorted(set(ca) & set(cb))
-    only_a = [i for i in ca if i not in shared]
-    only_b = [i for i in cb if i not in shared]
-    if not only_a and not only_b:
-        return True  # identical cones
-    d = fan.dim
-    # variables: u = up - um (2d nonneg), slacks for each strict inequality
-    nslack = len(only_a) + len(only_b)
-    rows, rhs = [], []
-
-    def urow(ray, sign):
-        return [sign * x for x in ray] + [-sign * x for x in ray]
-
-    si = 0
-    for i in shared:
-        rows.append(urow(fan.rays[i], 1) + [0] * nslack)
-        rhs.append(0)
-    for i in only_a:  # <u, r> - s = 1
-        srow = [0] * nslack
-        srow[si] = -1
-        si += 1
-        rows.append(urow(fan.rays[i], 1) + srow)
-        rhs.append(1)
-    for i in only_b:  # <u, r> + s = -1
-        srow = [0] * nslack
-        srow[si] = 1
-        si += 1
-        rows.append(urow(fan.rays[i], 1) + srow)
-        rhs.append(-1)
-    return _lp_feasible(rows, rhs)
+    shared = set(ca) & set(cb)
+    cols = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[j]) for j in cb]
+    weight = [int(i not in shared) for i in (*ca, *cb)]
+    return not _lp_feasible([*zip(*cols), weight], [0] * fan.dim + [1])
 
 
 def fan_validate(f: Fan) -> list:
@@ -120,7 +89,7 @@ def fan_validate(f: Fan) -> list:
             return diags
         if all(x == 0 for x in r):
             diags.append(f"ray {i} is zero")
-        elif not _is_primitive(r):
+        elif gcd(*r) != 1:
             diags.append(f"non-primitive ray {i}: {r}")
     if len(set(f.rays)) != len(f.rays):
         diags.append("rays are not pairwise distinct")
@@ -134,8 +103,12 @@ def fan_validate(f: Fan) -> list:
         if len(set(c)) != len(c):
             diags.append(f"cone {c} repeats a ray")
             continue
-        if rank(f.cone_rays(c)) != len(c):
+        if lattice_from_generators(f.cone_rays(c), f.dim).rank != len(c):
             diags.append(f"cone {c} is not simplicial (rays dependent)")
+    used = {i for c in f.max_cones for i in c}
+    diags += [f"ray {i} lies in no maximal cone" for i in range(len(f.rays)) if i not in used]
+    cones = [tuple(sorted(c)) for c in f.max_cones]
+    diags += [f"cone {c} is listed twice" for c in sorted(set(cones)) if cones.count(c) > 1]
     if diags:
         return diags
     for ca, cb in combinations(f.max_cones, 2):

@@ -121,20 +121,6 @@ def lattice_from_generators(vectors: Sequence[Sequence[int]], ambient_dim: int) 
     return LatticeBasis(ambient_dim, tuple(zip(*hnf(tuple(zip(*vectors))))))
 
 
-def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors if any(v)]
-    r = 0
-    while rows:
-        piv = rows.pop()
-        c = next(j for j, x in enumerate(piv) if x)
-        # clear column c from the other rows; it stays clear in later passes
-        rows = [[piv[c] * a - row[c] * b for a, b in zip(row, piv)] for row in rows]
-        rows = [row for row in rows if any(row)]
-        r += 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -328,9 +314,10 @@ def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int) -> bool:
 
     That holds exactly when the generators have rank ambient_dim and -sum(G)
     lies in cone(G), a theorem of the alternative of Gordan type (Schrijver,
-    Theory of Linear and Integer Programming, ch. 7): one LP decides it.
+    Theory of Linear and Integer Programming, ch. 7): one LP decides it.  The
+    rank is that of the lattice they generate, read off its HNF basis.
     """
-    if rank(generators) < ambient_dim:
+    if lattice_from_generators(generators, ambient_dim).rank < ambient_dim:
         return False
     return cone_contains(generators, [-sum(col) for col in zip(*generators)])
 

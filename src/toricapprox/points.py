@@ -13,7 +13,7 @@ from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, max_cone_coords
-from .intlat import INF, snf
+from .intlat import INF
 from .conditions import ToricPair, _phi
 
 
@@ -367,11 +367,3 @@ def is_squarefree(n: int) -> bool:
     raise FactorizationError(
         f"cannot certify squarefreeness of the cofactor {r}; "
         "inputs of this scale are out of scope")
-
-
-def torus_kernel_basis(fan: Fan) -> list:
-    """Integer basis of the exponent vectors k with sum_i k_i n_i = 0: the
-    rescalings t_i = s^{k_i} leave the cocharacter sum of valuations unchanged."""
-    dec = snf(tuple(zip(*fan.rays)))  # d x n, one column per ray
-    vc = tuple(zip(*dec.V))
-    return list(vc[len(dec.invariant_factors()):])

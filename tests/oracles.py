@@ -11,7 +11,11 @@ pattern once; the signed-box oracles walk the whole box [-H, H]^n and decide
 every signed tuple.  crosscheck judges each (divisor, value) once; its oracle
 here asks the arithmetic oracle again for every tuple.  The point
 construction evaluates integer monomials; the approximation oracles multiply
-Fractions character by character.
+Fractions character by character.  The package reads a rank off the HNF
+(intlat.lattice_from_generators), the sign group of the relation torus off its
+definition and the common-face test off one primal LP; the tests check them
+against a fraction-free elimination, a Smith-form kernel basis and the dual
+separating-functional LP.
 """
 import math
 from fractions import Fraction
@@ -20,9 +24,8 @@ from itertools import count, product
 from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
 from toricapprox.conditions import _phi
 from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
-from toricapprox.fan import (Fan, RefinementMap, _cone_inverses, _is_primitive,
-                             minimal_cone_containing)
-from toricapprox.intlat import INF, cone_coords
+from toricapprox.fan import Fan, RefinementMap, _cone_inverses, minimal_cone_containing
+from toricapprox.intlat import INF, _lp_feasible, cone_coords, snf
 from toricapprox.points import CoxPoint, is_squarefree, m_point_check, v_p
 
 
@@ -59,6 +62,65 @@ def solve_rational(Arows: list, b: list):
     for i, c in enumerate(pivots):
         x[c] = M[i][n]
     return x
+
+
+def rank(vectors) -> int:
+    """Rank of a list of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    r = 0
+    while rows:
+        piv = rows.pop()
+        c = next(j for j, x in enumerate(piv) if x)
+        # clear column c from the other rows; it stays clear in later passes
+        rows = [[piv[c] * a - row[c] * b for a, b in zip(row, piv)] for row in rows]
+        rows = [row for row in rows if any(row)]
+        r += 1
+    return r
+
+
+def torus_kernel_basis(fan: Fan) -> list:
+    """Integer basis of the exponent vectors k with sum_i k_i n_i = 0: the
+    rescalings t_i = s^{k_i} leave the cocharacter sum of valuations unchanged."""
+    dec = snf(tuple(zip(*fan.rays)))  # d x n, one column per ray
+    vc = tuple(zip(*dec.V))
+    return list(vc[len(dec.invariant_factors()):])
+
+
+def cones_are_faces(fan: Fan, ca, cb) -> bool:
+    """Check cone(ca) and cone(cb) intersect in the common face cone(ca & cb).
+
+    Decided by the existence of an exact separating functional u vanishing on
+    the shared rays, positive on the rest of ca and negative on the rest of cb.
+    """
+    shared = sorted(set(ca) & set(cb))
+    only_a = [i for i in ca if i not in shared]
+    only_b = [i for i in cb if i not in shared]
+    if not only_a and not only_b:
+        return True  # identical cones
+    # variables: u = up - um (2d nonneg), slacks for each strict inequality
+    nslack = len(only_a) + len(only_b)
+    rows, rhs = [], []
+
+    def urow(ray, sign):
+        return [sign * x for x in ray] + [-sign * x for x in ray]
+
+    si = 0
+    for i in shared:
+        rows.append(urow(fan.rays[i], 1) + [0] * nslack)
+        rhs.append(0)
+    for i in only_a:  # <u, r> - s = 1
+        srow = [0] * nslack
+        srow[si] = -1
+        si += 1
+        rows.append(urow(fan.rays[i], 1) + srow)
+        rhs.append(1)
+    for i in only_b:  # <u, r> + s = -1
+        srow = [0] * nslack
+        srow[si] = 1
+        si += 1
+        rows.append(urow(fan.rays[i], 1) + srow)
+        rhs.append(-1)
+    return _lp_feasible(rows, rhs)
 
 
 def phi_v(p: int, P: CoxPoint) -> tuple:
@@ -253,7 +315,7 @@ def approximate(pair, targets) -> dict:
 def stellar_subdivide(f: Fan, new_ray) -> RefinementMap:
     """Star subdivision of f at a primitive vector inside its support."""
     v = tuple(int(x) for x in new_ray)
-    if not _is_primitive(v):
+    if math.gcd(*v) != 1:
         raise ValueError("new ray must be primitive")
     if v in f.rays:
         raise ValueError("vector is already a ray of the fan")

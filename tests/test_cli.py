@@ -47,6 +47,23 @@ def test_validate(capsys):
     assert rc == 2 and "primitive" in err
 
 
+STRAY_RAY_FAN = '{"dim":2,"rays":[[1,0],[0,1],[-1,-1],[1,1]],"max_cones":[[0,1],[1,2],[0,2]]}'
+REPEATED_CONE_FAN = '{"dim":2,"rays":[[1,0],[0,1]],"max_cones":[[0,1],[1,0]]}'
+
+
+@pytest.mark.parametrize("argv, diag", [
+    (["validate", "--fan", STRAY_RAY_FAN], "ray 3 lies in no maximal cone"),
+    (["analyze", "--fan", STRAY_RAY_FAN, "--darmon", "2,2,2,1"], "ray 3 lies in no maximal cone"),
+    (["decide", "m-approx", "--fan", REPEATED_CONE_FAN, "--darmon", "1,1", "--everywhere"],
+     "cone (0, 1) is listed twice"),
+])
+def test_a_stray_ray_or_a_repeated_cone_exits_2(capsys, argv, diag):
+    """A ray in no maximal cone would add a generator to N_M, and a cone
+    listed twice pairs every wall of an incomplete fan: both are bad input."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and diag in err
+
+
 def test_validate_unreadable_fan(capsys):
     rc, _, err = run(capsys, "validate", "--fan", "/nonexistent.json")
     assert rc == 2 and "input error" in err

@@ -9,7 +9,8 @@ use.  Code that only the tests need lives under tests/.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toricapprox"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toricapprox"
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these by name, and its
 # tests look each one up, so they stay until the tracer stops naming them.
@@ -51,6 +52,16 @@ def test_every_package_definition_has_a_caller():
     assert sorted(set(unused) - PINNED) == []
     # a pinned name that gains a caller leaves the list
     assert set(unused) >= PINNED
+
+
+def test_every_pin_is_wrapped_by_the_tracer():
+    """A pin lasts only while the tracer names it: read its WRAPPED tuple
+    from the source, without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets))
+    assert PINNED <= set(wrapped)
 
 
 def test_every_package_constant_is_read():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import oracles
-from oracles import coprime_box, signed_box_projective, signed_box_toric
+from oracles import coprime_box, signed_box_projective, signed_box_toric, torus_kernel_basis
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -34,7 +34,6 @@ from toricapprox.points import (
     is_m_point,
     is_perfect_power,
     m_point_check,
-    torus_kernel_basis,
     v_p,
 )
 
@@ -145,7 +144,9 @@ def test_emitters():
 
 
 @pytest.mark.parametrize("fan", [projective_space(n) for n in (1, 2, 3)]
-                         + [fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)])
+                         + [fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
+                         + [projective_space(4), fan_product(P2, P1),
+                            fan_product(hirzebruch(1), P1)])
 def test_sign_group_is_cached_per_fan(fan):
     basis = torus_kernel_basis(fan)
     fresh = set()

@@ -6,11 +6,13 @@ from math import atan2, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from oracles import solve_rational, stellar_subdivide
 from toricapprox.intlat import lattice_from_generators
 from toricapprox.fan import (
     Fan,
     _cone_inverses,
+    _cones_are_faces,
     _ideal_corners,
     NotPrincipal,
     fan_validate,
@@ -49,6 +51,43 @@ def test_validate_flags_problems():
     assert any("primitive" in d for d in fan_validate(bad))
     overlap = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
     assert any("overlap" in d or "face" in d for d in fan_validate(overlap))
+    stray = Fan.make(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+    assert fan_validate(stray) == ["ray 3 lies in no maximal cone"]
+    twice = Fan(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    assert fan_validate(twice) == ["cone (0, 1) is listed twice"]
+
+
+@st.composite
+def _simplicial_cone_pairs(draw):
+    """Two simplicial cones on distinct rays in Z^d, d = 2..4: identical,
+    nested, sharing some rays or disjoint, in either order."""
+    d = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d).filter(any),
+                         min_size=d + 1, max_size=2 * d, unique=True))
+    ca = draw(st.lists(st.sampled_from(range(len(rays))), min_size=1, max_size=d, unique=True))
+    rest = [i for i in range(len(rays)) if i not in ca]
+    shape = draw(st.sampled_from(["sharing", "disjoint", "nested", "identical"]))
+    if shape == "identical":
+        cb = list(ca)
+    elif shape == "nested":
+        cb = draw(st.lists(st.sampled_from(ca), min_size=1, max_size=len(ca), unique=True))
+    else:
+        keep = [] if shape == "disjoint" else draw(st.lists(
+            st.sampled_from(ca), min_size=1, max_size=min(len(ca), d - 1), unique=True))
+        cb = keep + draw(st.lists(st.sampled_from(rest), min_size=1,
+                                  max_size=d - len(keep), unique=True))
+    for c in (ca, cb):
+        assume(lattice_from_generators([rays[i] for i in c], d).rank == len(c))
+    if draw(st.booleans()):
+        ca, cb = cb, ca
+    return Fan.make(d, rays, [ca, cb]), tuple(sorted(ca)), tuple(sorted(cb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simplicial_cone_pairs())
+def test_common_face_lp_matches_the_separating_functional(pair):
+    f, ca, cb = pair
+    assert _cones_are_faces(f, ca, cb) == oracles.cones_are_faces(f, ca, cb)
 
 
 def test_smooth_and_complete():

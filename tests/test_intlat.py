@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import solve_rational
+from oracles import rank, solve_rational
 from toricapprox import intlat
 from toricapprox.intlat import (
     INF,
@@ -15,7 +15,6 @@ from toricapprox.intlat import (
     hnf,
     lattice_from_generators,
     quotient_invariants,
-    rank,
     right_inverse,
     snf,
     solve_in_smooth_cone,

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mult_oracle, phi_v, two_step_mult
+from oracles import mult_oracle, phi_v, torus_kernel_basis, two_step_mult
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -32,7 +32,6 @@ from toricapprox.points import (
     is_squarefree,
     m_point_check,
     mult_at_prime,
-    torus_kernel_basis,
     v_p,
 )
 

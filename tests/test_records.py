@@ -18,7 +18,7 @@ from toricapprox.points import CoxPoint, MPointWitness
 P1 = projective_space(1)
 PAIR = ToricPair(P1, darmon([2, 3]))
 QUOT = QuotientStructure((2,), 0)
-INV = PairInvariants(LatticeBasis(1, ((2,),)), 2, QUOT, ((2,), (-3,)), True, False, ("note",))
+INV = PairInvariants(2, QUOT, ((2,), (-3,)), True, False, ("note",))
 POINT = CoxPoint(P1, (Fraction(1, 2), Fraction(3)))
 WITNESS = MPointWitness(False, 2, (1, INF))
 
@@ -34,9 +34,8 @@ RECORDS = [
     (MultiplicitySet, dict(variant=Variant.WEAK_CAMPANA, conditions=None, weak_m=(2, INF),
                            vectors=None)),
     (ToricPair, dict(fan=P1, conditions=darmon([2, INF]))),
-    (PairInvariants, dict(nm_basis=LatticeBasis(1, ((1,),)), index=INF, quotient=QUOT,
-                          cone_generators=(), cone_full=False, nm_plus_equals_n=False,
-                          notes=("a",))),
+    (PairInvariants, dict(index=INF, quotient=QUOT, cone_generators=(), cone_full=False,
+                          nm_plus_equals_n=False, notes=("a",))),
     (FieldDescriptor, dict(kind=FieldKind.FUNCTION_FIELD, q=None, base=BaseClass.P_CLOSED,
                            char=3, curve_has_real_point=None, closed_primes=frozenset({2, 5}))),
     (RhoSpec, dict(allowed=Allowed.ALL_EXCEPT, primes=(3,), note="n")),
@@ -77,7 +76,7 @@ def test_record_defaults():
     assert FieldDescriptor(FieldKind.NUMBER_FIELD).closed_primes is None
     assert RhoSpec(Allowed.NONE) == RhoSpec(Allowed.NONE, (), "")
     assert FieldFlags() == FieldFlags(TriBool.UNKNOWN, TriBool.UNKNOWN, TriBool.UNKNOWN, ())
-    assert PairInvariants(INV.nm_basis, 2, QUOT, (), True, False).notes == ()
+    assert PairInvariants(2, QUOT, (), True, False).notes == ()
     assert Verdict("p", Holds.YES, ()).invariants is None
     assert MPointWitness(True) == MPointWitness(True, None, None)
     assert Census(PAIR, 1, 0, points=()).normalization_note.startswith("height")
