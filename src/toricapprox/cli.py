@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error
 (including a fan JSON that fails fan_validate), 3 computational defect (scan
-cap, non-principal pullback, oversized factorization, a failed
+cap, non-principal pullback, a factorization past its rho budget, a failed
 internal assertion, an arithmetic error or exhausted memory).
 """
 from __future__ import annotations

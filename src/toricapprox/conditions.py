@@ -318,9 +318,10 @@ def _invariants_from_gens(pair: ToricPair, gens, notes=()) -> PairInvariants:
     """N_M from gens, its index read off the quotient, and whether cone(gens)
     is all of N_R."""
     d = pair.fan.dim
-    quot = quotient_invariants(lattice_from_generators(gens, d), d)
+    lattice = lattice_from_generators(gens, d)
+    quot = quotient_invariants(lattice, d)
     index = quot.order()
-    full = cone_is_full(gens, d)
+    full = cone_is_full(gens, d, lattice.rank)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
         notes += (pair.conditions.describe(),)

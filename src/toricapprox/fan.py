@@ -127,8 +127,10 @@ def is_smooth(f: Fan) -> bool:
 def is_complete(f: Fan) -> bool:
     """Wall-pairing completeness test for simplicial fans.  A maximal cone s of
     dimension below d is never covered: a cone t meeting the relative interior
-    of s meets s in a common face, which is then s, a proper face of t."""
-    if not f.max_cones or any(len(c) != f.dim for c in f.max_cones):
+    of s meets s in a common face, which is then s, a proper face of t.  A
+    maximal cone listed twice would pair its own walls, so it fails too."""
+    if (not f.max_cones or any(len(c) != f.dim for c in f.max_cones)
+            or len(set(f.max_cones)) < len(f.max_cones)):
         return False
     walls: dict = {}
     for c in f.max_cones:

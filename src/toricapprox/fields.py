@@ -45,7 +45,7 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind q base char "
         if self.kind is FieldKind.GLOBAL_FUNCTION_FIELD:
             try:
                 prime_power = self.q is not None and self.q > 1 and len(factorize(self.q)) == 1
-            except FactorizationError:  # two distinct primes above the trial bound
+            except FactorizationError:  # rho gave up on a piece with two distinct primes
                 prime_power = False
             if not prime_power:
                 raise ValueError("global function field needs a prime power q")

@@ -309,15 +309,19 @@ def cone_contains(generators: Sequence[Sequence[int]], v: Sequence) -> bool:
     return _lp_feasible(A, vv)
 
 
-def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int) -> bool:
+def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int,
+                 rank: Optional[int] = None) -> bool:
     """True iff the generated convex cone is all of R^ambient_dim.
 
     That holds exactly when the generators have rank ambient_dim and -sum(G)
     lies in cone(G), a theorem of the alternative of Gordan type (Schrijver,
     Theory of Linear and Integer Programming, ch. 7): one LP decides it.  The
-    rank is that of the lattice they generate, read off its HNF basis.
+    rank is that of the lattice they generate: a caller that holds its HNF
+    basis passes it, else it is read off a new one.
     """
-    if lattice_from_generators(generators, ambient_dim).rank < ambient_dim:
+    if rank is None:
+        rank = lattice_from_generators(generators, ambient_dim).rank
+    if rank < ambient_dim:
         return False
     return cone_contains(generators, [-sum(col) for col in zip(*generators)])
 

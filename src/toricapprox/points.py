@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, cycle
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, max_cone_coords
@@ -18,7 +18,9 @@ from .conditions import ToricPair, _phi
 
 
 class FactorizationError(ValueError):
-    """An integer resisted trial division and primality testing at desk scale."""
+    """An integer has a composite piece that Brent's rho did not split within
+    _RHO_BUDGET iterations, or is_squarefree met a cofactor it declines to
+    split."""
 
 
 class ScanCapExhausted(RuntimeError):
@@ -26,9 +28,15 @@ class ScanCapExhausted(RuntimeError):
     nonexistence proof."""
 
 
-_TRIAL_BOUND = 10 ** 6
-# deterministic Miller-Rabin bases valid for all n < 3.3 * 10^24
+_TRIAL_BOUND = 10 ** 6  # trial division of is_squarefree and of probable primes
+_SMALL_BOUND = 1 << 8  # trial division ahead of the worklist of _factorize_cached
+# deterministic Miller-Rabin bases valid for all n < 3.3 * 10^24 = _MR_PROVEN
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 33 * 10 ** 23
+# Brent-rho polynomial steps one factorization may spend, over all its pieces;
+# two 30-digit primes exhaust it in about 0.7 s on a 2-vCPU x86-64 host
+_RHO_BUDGET = 10 ** 6
+_RHO_BATCH = 128  # differences multiplied together between two gcds
 # trial divisors: steps 2 -> 3 -> 5 -> 7, then the mod-30 wheel from 7
 _WHEEL_START = (1, 2, 2)
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -59,17 +67,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _trial_division(n: int, squarefree_only: bool = False):
-    """Divide n >= 1 by the primes up to _TRIAL_BOUND.
+def _trial_division(n: int, bound: int, squarefree_only: bool = False):
+    """Divide n >= 1 by the primes up to bound.
 
     Returns (small, c): small maps each prime found to its exponent, and the
-    cofactor c is 1, a prime, or has no prime factor up to _TRIAL_BOUND.  With
+    cofactor c is 1, a prime, or has no prime factor up to bound.  With
     squarefree_only, returns None at the first prime dividing n twice.
     """
     small = {}
     steps = chain(_WHEEL_START, cycle(_WHEEL))
     d = 2
-    limit = min(_TRIAL_BOUND, isqrt(n))
+    limit = min(bound, isqrt(n))
     while d <= limit:
         if n % d == 0:
             e = 0
@@ -79,7 +87,7 @@ def _trial_division(n: int, squarefree_only: bool = False):
             if e > 1 and squarefree_only:
                 return None
             small[d] = e
-            limit = min(_TRIAL_BOUND, isqrt(n))
+            limit = min(bound, isqrt(n))
         d += next(steps)
     return small, n
 
@@ -96,12 +104,12 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _cofactor_root(c: int) -> tuple:
-    """(r, k) with c = r**k and r no perfect power, for a cofactor c left by
-    the trial division.  Every prime factor of a composite c exceeds
-    _TRIAL_BOUND, so only primes q with _TRIAL_BOUND**q < c can divide k."""
+def _cofactor_root(c: int, bound: int) -> tuple:
+    """(r, k) with c = r**k and r no perfect power, for a c with no prime
+    factor up to bound.  Every prime factor of a composite c then exceeds
+    bound, so only primes q with bound**q < c can divide k."""
     k, q = 1, 2
-    while _TRIAL_BOUND ** q < c:
+    while bound ** q < c:
         r = _iroot(c, q)
         if r ** q == c:
             c, k = r, k * q
@@ -110,6 +118,51 @@ def _cofactor_root(c: int) -> tuple:
         while not is_prime(q):
             q += 1
     return c, k
+
+
+def _rho_divisor(n: int, budget: int) -> tuple:
+    """(d, budget left): a proper divisor d of the composite n, which is no
+    perfect power, found by Brent's variant of Pollard's rho with batched gcds
+    (Pollard 1975; Brent 1980; Cohen, GTM 138, section 8.5), trying
+    y -> y^2 + c for c = 1, 3, 5, ... in turn.  Each polynomial step spends
+    one unit of budget; FactorizationError rather than a step past it."""
+    def exhausted():
+        return FactorizationError(
+            f"Brent's rho found no factor of the composite {n} within "
+            f"_RHO_BUDGET = {_RHO_BUDGET} iterations; inputs of this scale are "
+            "out of scope")
+
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if r > budget:
+                raise exhausted()
+            budget -= r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                step = min(_RHO_BATCH, r - k)
+                if step > budget:
+                    raise exhausted()
+                budget -= step
+                ys = y
+                for _ in range(step):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += step
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g < n:
+            return g, budget
+        c += 2
 
 
 def factorize(n: int) -> dict:
@@ -121,16 +174,42 @@ def factorize(n: int) -> dict:
 
 @lru_cache(maxsize=1 << 18)
 def _factorize_cached(n: int) -> tuple:
-    out, c = _trial_division(n)
-    if c > 1:
-        r, k = _cofactor_root(c)
-        # a composite r has two prime factors above the bound, so r < bound**2 is prime
-        if not (r < _TRIAL_BOUND ** 2 or is_prime(r)):
-            raise FactorizationError(
-                f"cofactor {r} is composite with no prime factor below {_TRIAL_BOUND}; "
-                "inputs of this scale are out of scope")
-        out[r] = k
-    return tuple(out.items())
+    """((p, e), ...) ascending: the factorization of n >= 1.
+
+    Trial division by the primes up to _SMALL_BOUND, then a worklist of
+    (piece, exponent).  A piece is prime below _SMALL_BOUND**2 (it has no
+    prime factor up to the bound), or when is_prime proves it (below
+    _MR_PROVEN).  A probable prime at or above _MR_PROVEN counts as prime
+    after trial division up to _TRIAL_BOUND finds no factor.  A composite
+    piece is replaced by its root if it is a perfect power, else split by
+    _rho_divisor under one budget of _RHO_BUDGET iterations for all pieces.
+    """
+    out, c = _trial_division(n, _SMALL_BOUND)
+    work = [(c, 1)]
+    budget = _RHO_BUDGET
+    while work:
+        m, k = work.pop()
+        if m == 1:
+            continue
+        if m < _SMALL_BOUND ** 2 or is_prime(m):
+            if m >= _MR_PROVEN:
+                small, r = _trial_division(m, _TRIAL_BOUND)
+                if small:  # a strong liar to every base
+                    work += [(p, k * e) for p, e in small.items()] + [(r, k)]
+                    continue
+            out[m] = out.get(m, 0) + k
+            continue
+        r, e = _cofactor_root(m, _SMALL_BOUND)
+        if e > 1:
+            work.append((r, k * e))
+            continue
+        d, budget = _rho_divisor(m, budget)
+        e = 0
+        while m % d == 0:  # m = d**e * (what is left)
+            m //= d
+            e += 1
+        work += [(d, k * e), (m, k)]
+    return tuple(sorted(out.items()))
 
 
 def v_p(x, p: int) -> int:
@@ -351,14 +430,16 @@ def is_perfect_power(n: int, m) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    """Squarefree test; decides without a full factorization where possible."""
+    """Squarefree test by trial division up to _TRIAL_BOUND and the cofactor's
+    root; a cofactor it cannot decide raises FactorizationError at once, with
+    no rho, so the squarefree scan declines huge candidates fast."""
     n = abs(n)
     if n == 0:
         return False
-    split = _trial_division(n, squarefree_only=True)
+    split = _trial_division(n, _TRIAL_BOUND, squarefree_only=True)
     if split is None:
         return False
-    r, k = _cofactor_root(split[1])
+    r, k = _cofactor_root(split[1], _TRIAL_BOUND)
     if k > 1:
         return False
     # below the cube of the bound a composite r is a product of two distinct primes

@@ -168,6 +168,24 @@ def test_approximate(capsys):
     assert obj["verified"] is True
 
 
+def test_approximate_certifies_a_54_digit_coordinate(capsys, cold_caches):
+    """ROADMAP section 3's reproduction: to 5 digits at 7 and 11, the point
+    has the coordinate 69474126697^3 * 52105595023^2, past trial division."""
+    spec = {"point": {"coords": ["1", "2", "3"]}, "digits": 5}
+    rc, out, err = run(capsys, "approximate", "--fan", "p2", "--campana", "2,2,2",
+                       "--targets", json.dumps({"7": spec, "11": spec}), "--json")
+    assert rc == 0, err
+    obj = json.loads(out)
+    assert obj["verified"] is True and obj["excluded_primes"] == [7, 11]
+    assert int(obj["point"]["coords"][1]) % (69474126697 ** 3 * 52105595023 ** 2) == 0
+    assert [m["p"] for m in obj["multiplicities"]][-2:] == [52105595023, 69474126697]
+    rc, out, err = run(capsys, "check-point", "--fan", "p2", "--campana", "2,2,2",
+                       "--point", json.dumps(obj["point"]), "--exclude", "7,11",
+                       "--assert", "--json")
+    assert rc == 0, err
+    assert json.loads(out) == {"is_m_point": True, "prime": None, "vector": None}
+
+
 def test_enumerate(capsys):
     rc, out, _ = run(capsys, "enumerate", "--fan", "p1", "--campana", "2,2",
                      "--height", "9")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import identity_refinement, stellar_subdivide
 from toricapprox import conditions as conditions_module
-from toricapprox import fan as fan_module
+from toricapprox import fan as fan_module, intlat
 from toricapprox.conditions import (
     DivisorCondition,
     Kind,
@@ -157,6 +157,21 @@ def test_exact_pullback_matches_the_box_search(ref, data):
     assert exact.index == oracle.index
     assert exact.quotient == oracle.quotient
     assert exact.cone_full == oracle.cone_full
+
+
+@pytest.mark.parametrize("gens, full", [
+    ([(2, 0), (0, 2), (-2, -2)], True),   # index 4, the cone is all of R^2
+    ([(1, 0), (0, 1)], False),            # the lattice is Z^2, the cone a quadrant
+    ([(1, 0), (-1, 0)], False),           # rank 1
+])
+def test_invariants_from_gens_builds_one_hnf(monkeypatch, gens, full):
+    """The quotient and the fullness test read one HNF of the generators."""
+    calls = []
+    hnf = intlat.hnf
+    monkeypatch.setattr(intlat, "hnf", lambda *a: calls.append(a) or hnf(*a))
+    inv = _invariants_from_gens(ToricPair(P2, darmon([2, 2, 2])), gens)
+    assert len(calls) == 1
+    assert inv.cone_full is full and cone_is_full(gens, 2) is full
 
 
 def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):

@@ -20,9 +20,10 @@ from toricapprox.decide import (
     decide_m_approx,
     decide_strong_approx,
     integral_any_pair,
+    invariants_of,
     pi1_root_stack,
 )
-from toricapprox.fan import hirzebruch, projective_space, weighted_P11r
+from toricapprox.fan import Fan, hirzebruch, is_complete, projective_space, weighted_P11r
 from toricapprox.fields import (
     BaseClass,
     FieldDescriptor,
@@ -186,3 +187,15 @@ def test_verdict_json_shape():
     assert set(obj) == {"property", "holds", "reasons", "invariants"}
     assert obj["holds"] == "yes"
     assert obj["invariants"]["index"] == 1
+
+
+def test_a_maximal_cone_listed_twice_is_not_complete():
+    """The quadrant listed twice pairs each of its walls with itself; a pair on
+    it gets no verdict, as fan_validate rejects it at the CLI."""
+    twice = Fan.make(2, [(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    assert not is_complete(twice)
+    pair = ToricPair(twice, darmon([1, 1]))
+    with pytest.raises(ValueError, match="complete fan"):
+        invariants_of(pair)
+    with pytest.raises(ValueError, match="complete fan"):
+        decide_m_approx(pair, Q, T_nonempty=False)

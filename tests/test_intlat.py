@@ -295,6 +295,8 @@ def test_cone_is_full_matches_the_probes(d, data):
     elif shape == "flat":
         gens = [g[:-1] + (0,) for g in gens]  # rank < d
     assert cone_is_full(gens, d) == _probe_oracle_cone_is_full(gens, d), gens
+    rk = lattice_from_generators(gens, d).rank
+    assert cone_is_full(gens, d, rk) == cone_is_full(gens, d), gens
 
 
 def test_cone_is_full_makes_one_lp_call(monkeypatch):

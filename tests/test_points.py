@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -53,10 +55,24 @@ def test_factorize():
         factorize(0)
 
 
-def test_factorize_rejects_oversized_composites():
-    p = 1000003
-    with pytest.raises(FactorizationError):
-        factorize(p ** 2 * 1000033 ** 2)
+def test_factorize_splits_composites_beyond_the_trial_bound():
+    p, q = 1000003, 1000033
+    assert factorize(p ** 2 * q ** 2) == {p: 2, q: 2}
+    assert _divisors_gt1(p ** 2 * q ** 2) == (p, q, p * p, p * q, q * q, p * p * q,
+                                              p * q * q, p * p * q * q)
+    # the probe's hardest split, a 54-digit recombined coordinate
+    assert factorize(69474126697 ** 3 * 52105595023 ** 2) == {52105595023: 2,
+                                                              69474126697: 3}
+
+
+def test_rho_gives_up_within_its_named_budget():
+    p = 10 ** 29 + 319  # the first prime above 10^29, and the next one
+    q = 10 ** 29 + 379
+    assert is_prime(p) and is_prime(q) and not any(is_prime(x) for x in range(p + 1, q))
+    start = time.perf_counter()
+    with pytest.raises(FactorizationError, match="_RHO_BUDGET"):
+        factorize(p * q)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cox_point_validation():
@@ -201,6 +217,14 @@ def _naive_factorize(n: int) -> dict:
     return out
 
 
+def _divisors_of(factorization: dict) -> tuple:
+    """The divisors above 1 of the integer with this factorization, ascending."""
+    divisors = [1]
+    for r, e in factorization.items():
+        divisors = [d * r ** k for d in divisors for k in range(e + 1)]
+    return tuple(sorted(divisors)[1:])
+
+
 def _naive_rho_contains(spec: RhoSpec, primes) -> bool:
     if spec.allowed is Allowed.ALL:
         return True
@@ -231,24 +255,16 @@ def test_kernel_matches_brute_force(n, spec):
        st.lists(st.sampled_from(BIG_PRIMES), min_size=2, max_size=2, unique=True),
        _specs(SMALL_PRIMES + BIG_PRIMES))
 def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
-    """s times a product of primes above the bound: the answers are known from
-    the construction, and the kernel gives them or declines with
-    FactorizationError exactly where the cofactor cannot be split."""
+    """s times a product of primes above the bound of 10^6: the answers are
+    known from the construction.  factorize splits every shape;
+    is_squarefree still declines p^2 q, which it does not split."""
     p, q = pq
     big = {"p": {p: 1}, "p^2": {p: 2}, "pq": {p: 1, q: 1}, "p^2q": {p: 2, q: 1}}[shape]
     want = {**_naive_factorize(s), **big}
     n = math.prod(r ** e for r, e in want.items())
     assert rho_contains(spec, n) == _naive_rho_contains(spec, want)
-    splittable = shape in ("p", "p^2")
-    if splittable:
-        assert factorize(n) == want
-        divisors = [1]
-        for r, e in want.items():
-            divisors = [d * r ** k for d in divisors for k in range(e + 1)]
-        assert _divisors_gt1(n) == tuple(sorted(divisors)[1:])
-    else:
-        with pytest.raises(FactorizationError):
-            factorize(n)
+    assert factorize(n) == want
+    assert _divisors_gt1(n) == _divisors_of(want)
     squarefree = all(e == 1 for e in want.values())
     if shape == "p^2q" and all(e == 1 for e in _naive_factorize(s).values()):
         # p^2 q is not a perfect power and exceeds the cube of the bound
@@ -257,7 +273,7 @@ def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
     else:
         assert is_squarefree(n) == squarefree
     big_n = math.prod(r ** e for r, e in big.items())
-    if splittable:
+    if shape in ("p", "p^2"):
         assert FieldDescriptor.global_function_field(big_n).characteristic() == p
     else:
         with pytest.raises(ValueError, match="prime power"):
@@ -266,6 +282,32 @@ def test_kernel_beyond_the_trial_bound(s, shape, pq, spec):
     if shape != "p":
         with pytest.raises(ValueError, match="prime"):
             FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, big_n)
+
+
+def _prime_from(x: int) -> int:
+    """The least prime >= x (is_prime is a proof in this range)."""
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10 ** 3, 10 ** 12).map(_prime_from), st.integers(1, 7),
+       st.integers(10 ** 3, 10 ** 9).map(_prime_from), st.integers(1, 7),
+       st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(1, 7), max_size=3))
+def test_factorize_splits_products_of_large_primes(p, a, q, b, small):
+    """p^a q^b times small primes, p up to 10^12 and q up to 10^9: every piece
+    left after trial division is a prime, a perfect power or a rho split.
+    Rho needs about sqrt(min(p, q)) steps, far inside _RHO_BUDGET; two primes
+    near 10^12 may need more than it allows."""
+    s = math.prod(r ** e for r, e in small.items())
+    want = dict(Counter(_naive_factorize(s)) + Counter({p: a}) + Counter({q: b}))
+    n = s * p ** a * q ** b
+    assert factorize(n) == want
+    assert factorize(-n) == want
+    if n < 10 ** 12:
+        assert want == _naive_factorize(n)
+    assert _divisors_gt1(n) == _divisors_of(want)
 
 
 SMOOTH_COMPLETE = [P2, fan_product(P1, P1)] + [hirzebruch(r) for r in range(4)]
