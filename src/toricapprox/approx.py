@@ -47,16 +47,6 @@ def _scan_cap() -> int:
     return int(env) if env else DEFAULT_SCAN_CAP
 
 
-def _crt(residues) -> tuple:
-    """Combine (r mod m) pairs with coprime moduli."""
-    r, m = 0, 1
-    for ri, mi in residues:
-        assert math.gcd(m, mi) == 1
-        r = (r * mi * pow(mi, -1, m) + ri * m * pow(m, -1, mi)) % (m * mi)
-        m *= mi
-    return r, m
-
-
 def _scan_order(r: int, M: int):
     """r, then r - tM and r + tM for t = 1, 2, ...: the candidate of smaller
     |n| first, n > 0 first on a tie, 0 skipped.  With 0 <= r < M, r - tM is
@@ -99,7 +89,9 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
         g = math.gcd(un, ud)
         mod = c.p ** c.k
         residues.append((un // g * pow(ud // g, -1, mod) % mod, mod))
-    r, M = _crt(residues)
+    # the moduli are powers of distinct primes, hence pairwise coprime
+    M = math.prod(mod for _, mod in residues)
+    r = sum(a * (M // mod) * pow(M // mod, -1, mod) for a, mod in residues) % M
 
     out = []
     # avoid times every accepted n: one gcd tests coprimality to both
@@ -120,13 +112,10 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
 
 
 class GammaData(NamedTuple):
-    """Single-ray generators of the multiplicity set, the matrix of their
-    phi-images, surjective onto N, a right inverse, and the exponents of the
-    Cox coordinates in each local exponent c_s."""
+    """Single-ray generators m_s of the multiplicity set and the exponents of the
+    Cox coordinates in each c_s; rinv is an integer right inverse of (phi(m_s))."""
 
     generators: tuple  # multiplicity vectors, one nonzero entry each
-    gamma: tuple  # d x l rows, columns phi(m_s)
-    rinv: tuple  # l x d rows with gamma rinv = identity
     exponents: tuple  # l x n rows, E = rinv R^T for the ray matrix R_ij = n_i[j]
 
 
@@ -143,7 +132,7 @@ def build_gamma(pair: ToricPair) -> GammaData:
                          "the recombination construction does not apply")
     exponents = tuple(tuple(sum(r * x for r, x in zip(row, ray)) for ray in fan.rays)
                       for row in rinv)
-    return GammaData(gens, gamma, rinv, exponents)
+    return GammaData(gens, exponents)
 
 
 def _monomial(coords, exps) -> tuple:

@@ -17,7 +17,6 @@ from contextlib import redirect_stdout
 
 from . import __version__
 from .conditions import (
-    NotPrincipalError,
     ToricPair,
     campana,
     conditions_from_json,
@@ -36,7 +35,8 @@ from .decide import (
     invariants_of,
     pi1_root_stack,
 )
-from .fan import Fan, fan_validate, hirzebruch, product, projective_space, weighted_P11r
+from .fan import (Fan, NotPrincipalError, fan_validate, hirzebruch, product, projective_space,
+                  weighted_P11r)
 from .fields import FieldDescriptor, field_from_json, rho_of
 from .points import (CoxPoint, FactorizationError, ScanCapExhausted, is_m_point,
                      is_prime)

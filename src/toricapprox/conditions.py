@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import product as _iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, NotPrincipal, RefinementMap, inverse_image_coefficients, is_smooth
+from .fan import Fan, RefinementMap, inverse_image_coefficients, is_smooth
 from .intlat import (
     INF,
     QuotientStructure,
@@ -182,22 +182,6 @@ class MultiplicitySet(NamedTuple):
             return total >= 1
         return tuple(w) in self.vectors
 
-    def describe(self) -> str:
-        if self.variant is Variant.PRODUCT:
-            parts = []
-            for c in self.conditions:
-                if c.kind in _PARAMETRIC:
-                    parts.append(f"{c.kind.value}({'inf' if c.m == INF else c.m})")
-                elif c.kind is Kind.FINITE_SET:
-                    parts.append(f"finite_set({list(c.values)}, inf={c.allow_infinity})")
-                else:
-                    parts.append(c.kind.value)
-            return " x ".join(parts)
-        if self.variant is Variant.WEAK_CAMPANA:
-            return f"weak_campana({list(self.weak_m)})"
-        return (f"custom({len(self.vectors)} vectors; the list is treated as the "
-                "definition, infinite tails are not inferred)")
-
 
 def campana(m: Sequence) -> MultiplicitySet:
     return MultiplicitySet.of([DivisorCondition(Kind.CAMPANA, mi) for mi in m])
@@ -324,7 +308,8 @@ def _invariants_from_gens(pair: ToricPair, gens, notes=()) -> PairInvariants:
     full = cone_is_full(gens, d, lattice.rank)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
-        notes += (pair.conditions.describe(),)
+        notes += (f"custom({len(pair.conditions.vectors)} vectors; the list is treated as "
+                  "the definition, infinite tails are not inferred)",)
     return PairInvariants(
         index=index,
         quotient=quot,
@@ -369,12 +354,7 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     src = refinement.source
     if refinement.target != fan0:
         raise ValueError("refinement target must be the pair's fan")
-    coeffs = []
-    for alpha in range(len(fan0.rays)):
-        c = inverse_image_coefficients(refinement, alpha)
-        if isinstance(c, NotPrincipal):
-            raise NotPrincipalError(alpha, c)
-        coeffs.append(c)
+    coeffs = [inverse_image_coefficients(refinement, alpha) for alpha in range(len(fan0.rays))]
     assert all(x >= 0 for row in coeffs for x in row), "negative pullback coefficient"
 
     ms = pair.conditions
@@ -473,16 +453,6 @@ def _box_generators(src: Fan, admits_vec, W: int) -> list:
             if admits_vec(w):
                 gens.add(_phi(src, w))
     return sorted(g for g in gens if any(g))
-
-
-class NotPrincipalError(RuntimeError):
-    """Raised when an inverse image divisor cannot be certified principal."""
-
-    def __init__(self, divisor_index: int, detail: NotPrincipal):
-        self.divisor_index = divisor_index
-        self.detail = detail
-        super().__init__(f"inverse image of divisor {divisor_index} not certified "
-                         f"principal: {detail.reason}")
 
 
 def mred_in_closure_of_mfin(pair: ToricPair) -> bool:

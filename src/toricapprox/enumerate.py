@@ -137,9 +137,6 @@ def enumerate_toric(pair: ToricPair, H: int) -> Census:
         raise ValueError("height bound must be nonnegative")
     if not (is_smooth(fan) and is_complete(fan)):
         raise ValueError("census needs a smooth complete fan")
-    rank = len(fan.rays) - fan.dim
-    if rank > 2:
-        raise ValueError("canonicalization implemented for class group rank <= 2")
     admits = pair.conditions.admits_vector
     verdicts = {}
     seen = set()

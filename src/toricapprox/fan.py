@@ -6,9 +6,8 @@ of torus-invariant divisors along refinements.
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain as _chain, combinations
 from itertools import product as _iter_product
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -38,14 +37,14 @@ class Fan(NamedTuple):
     def cone_rays(self, cone) -> list:
         return [self.rays[i] for i in cone]
 
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim,
-                           "rays": [list(r) for r in self.rays],
-                           "max_cones": [list(c) for c in self.max_cones]})
-
     @classmethod
     def from_json_obj(cls, obj) -> "Fan":
-        return cls.make(obj["dim"], obj["rays"], obj["max_cones"])
+        """Refuses a float, string or bool where make would truncate it."""
+        dim, rays, cones = obj["dim"], obj["rays"], obj["max_cones"]
+        bad = [x for x in (dim, *_chain(*rays), *_chain(*cones)) if type(x) is not int]
+        if bad:
+            raise TypeError(f"dim, ray entries and cone indices must be integers, got {bad[0]!r}")
+        return cls.make(dim, rays, cones)
 
 
 class RefinementMap(NamedTuple):
@@ -53,13 +52,15 @@ class RefinementMap(NamedTuple):
 
     source: Fan
     target: Fan
-    ray_embedding: tuple  # target ray index -> source ray index
 
 
-class NotPrincipal(NamedTuple):
-    """Failure value of inverse_image_coefficients; instructs further subdivision."""
+class NotPrincipalError(RuntimeError):
+    """Raised when an inverse image divisor cannot be certified principal."""
 
-    reason: str
+    def __init__(self, divisor_index: int, reason: str):
+        self.divisor_index = divisor_index
+        self.reason = reason
+        super().__init__(f"inverse image of divisor {divisor_index} not certified principal: {reason}")
 
 
 def _cones_are_faces(fan: Fan, ca, cb) -> bool:
@@ -268,7 +269,7 @@ def resolve_2d(f: Fan) -> RefinementMap:
         for a, b in zip(chain, chain[1:]):
             new_cones.append(tuple(sorted((a, b))))
     source = Fan.make(2, rays, sorted(set(new_cones)))
-    return RefinementMap(source, f, tuple(range(len(f.rays))))
+    return RefinementMap(source, f)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def _ideal_corners(f: Fan, k: int, i: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def inverse_image_coefficients(r: RefinementMap, i: int):
-    """Coefficients of f^-1 D_i on the source divisors, or a NotPrincipal value.
+    """Coefficients of f^-1 D_i on the source divisors, else NotPrincipalError.
 
     On each source cone the coefficients are the minima of <m, n> over the
     ideal of D_i on the target cone, read from _ideal_corners; the inverse
@@ -332,14 +333,15 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
                   if all(cone_coords(inverse, src.rays[j]) is not None for j in sc)),
                  None)
         if k is None:
-            return NotPrincipal("source cone not contained in any target cone")
+            raise NotPrincipalError(i, "source cone not contained in any target cone")
         if len(tgt.max_cones[k]) != tgt.dim:
-            return NotPrincipal("non-full-dimensional singular target cone")
+            raise NotPrincipalError(i, "non-full-dimensional singular target cone")
         values = [tuple(_dot(m, src.rays[j]) for j in sc) for m in _ideal_corners(tgt, k, i)]
         mins = tuple(map(min, zip(*values)))
         if mins not in values:
-            return NotPrincipal("no simultaneous minimizer: pullback not principal on a cone")
+            raise NotPrincipalError(
+                i, "no simultaneous minimizer: pullback not principal on a cone")
         for j, val in zip(sc, mins):
             if coeffs.setdefault(j, val) != val:
-                return NotPrincipal("inconsistent coefficients across cones")
+                raise NotPrincipalError(i, "inconsistent coefficients across cones")
     return tuple(coeffs.get(j, 0) for j in range(len(src.rays)))

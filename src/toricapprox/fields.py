@@ -105,10 +105,6 @@ class RhoSpec(NamedTuple):
     primes: tuple = ()  # the excluded prime(s) for ALL_EXCEPT, the list for EXACTLY
     note: str = ""
 
-    def is_trivial(self) -> bool:
-        return self.allowed is Allowed.NONE or (
-            self.allowed is Allowed.EXACTLY and not self.primes)
-
 
 def rho_contains(spec: RhoSpec, n: int) -> bool:
     """Membership of n >= 1 in rho: every prime factor of n must be allowed.
@@ -235,14 +231,22 @@ def default_flags(fd: FieldDescriptor, excluded_place_count: Optional[int] = Non
                       unit_quotient_finite=units, notes=tuple(notes))
 
 
+def _typed(obj: dict, key: str, kind: type, default=None):
+    """obj[key], or default when absent; a value of another type is refused, not coerced."""
+    x = obj.get(key, default)
+    if key in obj and type(x) is not kind:
+        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {x!r}")
+    return x
+
+
 def field_from_json(obj: dict) -> FieldDescriptor:
     """Parse {"kind": "number_field"} | {"kind": "function_field", "base": ..., ...}."""
     kind = FieldKind(obj["kind"])
     if kind is FieldKind.NUMBER_FIELD:
         return FieldDescriptor.number_field()
     if kind is FieldKind.GLOBAL_FUNCTION_FIELD:
-        return FieldDescriptor.global_function_field(int(obj["q"]))
+        return FieldDescriptor.global_function_field(_typed(obj, "q", int))
     return FieldDescriptor.function_field(
-        BaseClass(obj["base"]), int(obj.get("char", 0)),
-        curve_has_real_point=obj.get("curve_has_real_point"),
+        BaseClass(obj["base"]), _typed(obj, "char", int, 0),
+        curve_has_real_point=_typed(obj, "curve_has_real_point", bool),
         closed_primes=obj.get("closed_primes"))

@@ -8,7 +8,8 @@ valuation key (points._multiplicities); the tests check it against the
 coprime integer representative on projective space and against a solve on the
 minimal containing cone elsewhere.  The censuses decide each magnitude
 pattern once; the signed-box oracles walk the whole box [-H, H]^n and decide
-every signed tuple.  crosscheck judges each (divisor, value) once; its oracle
+every signed tuple, and the character oracle counts the interior orbits as
+distinct torus characters, with no multiplicity vector.  crosscheck judges each (divisor, value) once; its oracle
 here asks the arithmetic oracle again for every tuple.  The point
 construction evaluates integer monomials; the approximation oracles multiply
 Fractions character by character.  The package reads a rank off the HNF
@@ -25,7 +26,7 @@ from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
 from toricapprox.conditions import _phi
 from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
 from toricapprox.fan import Fan, RefinementMap, _cone_inverses, minimal_cone_containing
-from toricapprox.intlat import INF, _lp_feasible, cone_coords, snf
+from toricapprox.intlat import INF, _lp_feasible, cone_coords, right_inverse, snf
 from toricapprox.points import CoxPoint, is_squarefree, m_point_check, v_p
 
 
@@ -218,6 +219,19 @@ def signed_box_toric(pair, H: int) -> tuple:
     return tuple(sorted(seen))
 
 
+def character_orbits(pair, H: int) -> int:
+    """The number of orbits in the interior census of height H, read without
+    a multiplicity vector: one m_point_check verdict per all-nonzero tuple of
+    the box, and the count of distinct torus characters among the admissible
+    ones.  (Q*)^n -> T(Q), x -> (prod_i x_i^(n_i[j]))_j, has the relation
+    torus as its kernel, so two tuples share an orbit iff their characters
+    agree, whatever the rank of the class group."""
+    fan, admits, verdicts = pair.fan, pair.conditions.admits_vector, {}
+    vals = [*range(-H, 0), *range(1, H + 1)]
+    return len({tuple(characters(fan, tup)) for tup in product(vals, repeat=len(fan.rays))
+                if m_point_check(fan, tup, admits, verdicts)[0].ok})
+
+
 # ---------------------------------------------------------------------------
 # The point construction in Fractions
 # ---------------------------------------------------------------------------
@@ -234,10 +248,11 @@ def characters(fan, coords) -> list:
 
 
 def local_exponents(pair, gd, target) -> list:
-    """c_s = prod_j a_j(target)^(rinv[s][j])."""
+    """c_s = prod_j a_j(target)^(rinv[s][j]), for rinv the integer right
+    inverse of the matrix whose columns are the phi(m_s)."""
     a = characters(pair.fan, target.coords)
     cs = []
-    for row in gd.rinv:
+    for row in right_inverse(list(zip(*(_phi(pair.fan, m) for m in gd.generators)))):
         c = Fraction(1)
         for aj, r in zip(a, row):
             c *= aj ** r
@@ -332,8 +347,8 @@ def stellar_subdivide(f: Fan, new_ray) -> RefinementMap:
             if xi > 0:
                 new_cones.append(tuple(sorted(set(c) - {i} | {vi})))
     source = Fan.make(f.dim, rays, sorted(set(new_cones)))
-    return RefinementMap(source, f, tuple(range(len(f.rays))))
+    return RefinementMap(source, f)
 
 
 def identity_refinement(f: Fan) -> RefinementMap:
-    return RefinementMap(f, f, tuple(range(len(f.rays))))
+    return RefinementMap(f, f)

@@ -109,11 +109,9 @@ def test_constraint_validation():
 def test_build_gamma_p1():
     gd = build_gamma(ToricPair(P1, darmon([2, 3])))
     assert gd.generators == ((2, 0), (0, 3))
-    prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*gd.rinv))
-                 for row in gd.gamma)
-    assert prod == ((1,),)
-    # E = rinv R^T with the rays (1) and (-1)
-    assert gd.exponents == tuple((r[0], -r[0]) for r in gd.rinv)
+    # E = rinv R^T with the rays (1) and (-1), and gamma rinv = 2 a - 3 b = 1
+    (a, a_), (b, b_) = gd.exponents
+    assert (a_, b_) == (-a, -b) and 2 * a - 3 * b == 1
 
 
 def test_build_gamma_rejects_proper_sublattice():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import toricapprox
 from toricapprox.cli import main, parse_fan
 from toricapprox.conditions import Kind
-from toricapprox.fan import hirzebruch, projective_space
+from toricapprox.fan import NotPrincipalError, hirzebruch, product, projective_space
 from toricapprox.points import _factorize_cached
 
 
@@ -195,6 +195,13 @@ def test_enumerate(capsys):
     assert rc == 0 and out.splitlines()[0] == "a0,a1,is_m_point"
 
 
+def test_interior_census_on_a_rank_3_fan(capsys):
+    fan = json.dumps(product(hirzebruch(2), projective_space(1))._asdict())
+    rc, out, _ = run(capsys, "enumerate", "--fan", fan, "--campana", ",".join("2" * 6),
+                     "--interior", "--height", "4", "--json")
+    assert rc == 0 and json.loads(out)["count"] == 432
+
+
 def test_crosscheck(capsys):
     rc, out, _ = run(capsys, "crosscheck", "--fan", "p1", "--darmon", "2,3",
                      "--height", "15")
@@ -240,8 +247,12 @@ def test_scan_cap_defect_exit_code(capsys, monkeypatch):
     assert rc == 3 and "defect" in err
 
 
-@pytest.mark.parametrize("exc, msg", [(AssertionError(), "AssertionError"),
-                                      (ZeroDivisionError("division by zero"), "division by zero")])
+@pytest.mark.parametrize("exc, msg", [
+    (AssertionError(), "AssertionError"),
+    (ZeroDivisionError("division by zero"), "division by zero"),
+    (NotPrincipalError(0, "source cone not contained in any target cone"),
+     "inverse image of divisor 0 not certified principal: "
+     "source cone not contained in any target cone")])
 def test_internal_defects_exit_3(capsys, monkeypatch, exc, msg):
     def defect(pair):
         raise exc
@@ -376,6 +387,39 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", f"input error: {msg}\n")
+
+
+def _fan_json(dim=2, rays=([1, 0], [0, 1], [-1, -1]), cones=([0, 1], [1, 2], [0, 2])) -> str:
+    return json.dumps({"dim": dim, "rays": list(rays), "max_cones": list(cones)})
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["validate", "--fan", _fan_json(rays=([1.5, 0], [0, 1], [-1, -1]))],
+     "dim, ray entries and cone indices must be integers, got 1.5"),
+    (["analyze", "--darmon", "2,2,2", "--fan",
+      _fan_json(rays=([1.9, 0], [0, 1], [-1, -1]), cones=([0.7, 1], [1, 2], [0, 2]))],
+     "dim, ray entries and cone indices must be integers, got 1.9"),
+    (["analyze", "--darmon", "2,2,2", "--fan", _fan_json(cones=([0.7, 1], [1, 2], [0, 2]))],
+     "dim, ray entries and cone indices must be integers, got 0.7"),
+    (["validate", "--fan", _fan_json(dim=True)],
+     "dim, ray entries and cone indices must be integers, got True"),
+    (["validate", "--fan", _fan_json(rays=(["1", "0"], [0, 1], [-1, -1]))],
+     "dim, ray entries and cone indices must be integers, got '1'"),
+    *[(["decide", "m-approx", "--fan", "p2", "--darmon", "2,2,2", "--field", json.dumps(field)],
+       f"cannot read field descriptor: {msg}") for field, msg in (
+          ({"kind": "global_function_field", "q": 4.5}, "q must be a JSON int, got 4.5"),
+          ({"kind": "global_function_field", "q": True}, "q must be a JSON int, got True"),
+          ({"kind": "function_field", "base": "finite", "char": 2.9},
+           "char must be a JSON int, got 2.9"),
+          ({"kind": "function_field", "base": "real_closed", "curve_has_real_point": "no"},
+           "curve_has_real_point must be a JSON bool, got 'no'"))],
+])
+def test_json_fields_are_not_coerced(capsys, argv, msg):
+    """A fan or field given as JSON takes integers and booleans as they are:
+    a float, string or bool in their place exits 2 rather than being
+    truncated or read for its truth value."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and err.startswith("input error: ") and err.endswith(msg + "\n")
 
 
 # Each (command, flag) pair here was once accepted and then ignored.  Each

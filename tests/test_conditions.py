@@ -27,7 +27,10 @@ from toricapprox.conditions import (
 )
 from toricapprox.fan import (
     Fan,
+    NotPrincipalError,
+    RefinementMap,
     hirzebruch,
+    product,
     inverse_image_coefficients,
     projective_space,
     resolve_2d,
@@ -194,6 +197,23 @@ def test_nm_singular_identity_refinement_matches_smooth_path():
     assert a.quotient.invariant_factors == b.quotient.invariant_factors
 
 
+def test_a_pullback_that_is_not_principal_raises_where_it_arises():
+    """P^2 is no refinement of P^1 x P^1: its cone on (1, 0) and (-1, -1)
+    lies in no quadrant, so the first divisor's pullback fails there, and
+    nm_singular passes the error on as inverse_image_coefficients raised it."""
+    pp = product(projective_space(1), projective_space(1))
+    ref = RefinementMap(P2, pp)
+    msg = ("inverse image of divisor 0 not certified principal: "
+           "source cone not contained in any target cone")
+    for call in (lambda: nm_singular(ToricPair(pp, darmon([2] * 4)), ref),
+                 lambda: inverse_image_coefficients(ref, 0)):
+        with pytest.raises(NotPrincipalError) as info:
+            call()
+        assert str(info.value) == msg
+        assert info.value.divisor_index == 0
+        assert info.value.reason == "source cone not contained in any target cone"
+
+
 def test_nm_singular_refinement_independent():
     w = weighted_P11r(2)
     pair = ToricPair(w, darmon([2, 2, 2]))
@@ -204,9 +224,7 @@ def test_nm_singular_refinement_independent():
     extra = stellar_subdivide(src, tuple(x + y for x, y in
                                          zip(src.rays[src.max_cones[0][0]],
                                              src.rays[src.max_cones[0][1]])))
-    from toricapprox.fan import RefinementMap
-    ref2 = RefinementMap(extra.source, w,
-                         tuple(extra.source.rays.index(r) for r in w.rays))
+    ref2 = RefinementMap(extra.source, w)
     b = nm_singular(pair, ref2)
     assert a.index == b.index
     assert a.quotient.invariant_factors == b.quotient.invariant_factors
@@ -286,16 +304,6 @@ def test_booleans_are_not_multiplicities():
             conditions_from_json(obj)
 
 
-def test_describe():
-    ms = MultiplicitySet.of([DivisorCondition(Kind.CAMPANA, 2), DivisorCondition(Kind.DARMON, INF),
-                             DivisorCondition(Kind.FINITE_SET, values=(0, 2)),
-                             DivisorCondition(Kind.SQUAREFREE)])
-    assert ms.describe() == ("campana(2) x darmon(inf) x finite_set([0, 2], inf=False)"
-                             " x squarefree")
-    assert MultiplicitySet.weak_campana([2, INF]).describe() == "weak_campana([2, inf])"
-    assert MultiplicitySet.custom([(0, 0), (2, 0)]).describe().startswith("custom(2 vectors;")
-
-
 def test_custom_generators_match_the_box_search():
     # on P^2 the finite listed vectors on a cone generate; (1, 1, 1) lies on none
     ms = MultiplicitySet.custom([(0, 0, 0), (2, 0, 0), (0, 3, 0), (2, 3, 0), (1, 1, 1),
@@ -306,7 +314,8 @@ def test_custom_generators_match_the_box_search():
         (0, 3), (2, 0), (2, 3)]
     inv = pair_invariants(pair)
     assert (inv.index, inv.cone_full) == (6, False)
-    assert inv.notes == (ms.describe(),)
+    assert inv.notes == ("custom(7 vectors; the list is treated as the definition, "
+                         "infinite tails are not inferred)",)
 
 
 def test_custom_pullback_keeps_the_custom_note():
@@ -324,7 +333,9 @@ def test_custom_pullback_keeps_the_custom_note():
     inv = nm_singular(pair, ref)
     assert inv.cone_generators == tuple(box)
     assert (inv.index, inv.cone_full) == (INF, False)
-    assert inv.notes == ("pullback enumeration bound W=2", ms.describe())
+    assert inv.notes == ("pullback enumeration bound W=2",
+                         "custom(3 vectors; the list is treated as the definition, "
+                         "infinite tails are not inferred)")
 
 
 def test_weak_campana():

@@ -72,6 +72,47 @@ def test_every_package_constant_is_read():
     assert sorted((mod, name) for mod, name in assigned if name not in used) == []
 
 
+# The tracer counts the distinct pullback generators from this field of the
+# nm_singular result; the package itself reads N_M through the lattice.
+PINNED_FIELDS = {("conditions", "PairInvariants", "cone_generators")}
+
+
+def _unread_record_fields():
+    """Fields of the package's NamedTuple records, declared as annotations or
+    through a namedtuple base, that no package code reads as an attribute."""
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for base in cls.bases:
+                if isinstance(base, ast.Name) and base.id == "NamedTuple":
+                    names = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+                elif isinstance(base, ast.Call) and getattr(base.func, "id", "") == "namedtuple":
+                    names = base.args[1].value.split()
+                else:
+                    continue
+                fields += [(path.stem, cls.name, name) for name in names]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert fields
+    return [f for f in fields if f[2] not in read]
+
+
+def test_every_record_field_is_read():
+    """A field that nothing reads is a value computed for no one."""
+    unread = _unread_record_fields()
+    assert sorted(set(unread) - PINNED_FIELDS) == []
+    assert set(unread) >= PINNED_FIELDS
+
+
+def test_every_pinned_field_is_named_by_the_tracer():
+    """A field pin lasts only while the tracer's source names the field."""
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text()
+    assert all(name in tracer for _, _, name in PINNED_FIELDS)
+
+
 # points._mult_memo reads no parameter on purpose: lru_cache keys the empty
 # dict it returns on the fan, so each fan gets its own memo.
 UNREAD_BY_DESIGN = {("points", "_mult_memo", "fan")}

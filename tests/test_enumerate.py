@@ -265,6 +265,23 @@ def test_toric_census_equals_the_signed_box(fan, which):
         assert enumerate_toric(pair, H).points == signed_box_toric(pair, H), H
 
 
+def _character_sets(n):
+    """Campana, Darmon, mixed Campana and squarefree sets on an even n rays."""
+    return [campana([2] * n), darmon([2] * n), campana([2, 3] * (n // 2)),
+            MultiplicitySet.of([DivisorCondition(Kind.SQUAREFREE)] * n)]
+
+
+@pytest.mark.parametrize("fan, H", [
+    (fan_product(fan_product(P1, P1), P1), 3), (fan_product(hirzebruch(2), P1), 3),
+    (fan_product(P1, P1), 4), (hirzebruch(1), 4)], ids=["P1xP1xP1", "H2xP1", "P1xP1", "H1"])
+@pytest.mark.parametrize("which", range(4))
+def test_toric_census_counts_the_distinct_torus_characters(fan, H, which):
+    """Two interior points share an orbit of the relation torus iff their
+    torus characters agree, at class-group rank 3 as at rank 2."""
+    pair = ToricPair(fan, _character_sets(len(fan.rays))[which])
+    assert enumerate_toric(pair, H).count == oracles.character_orbits(pair, H)
+
+
 def _spy(monkeypatch):
     """Record the coordinates of every m_point_check call the census module
     makes."""

@@ -14,7 +14,7 @@ from toricapprox.fan import (
     _cone_inverses,
     _cones_are_faces,
     _ideal_corners,
-    NotPrincipal,
+    NotPrincipalError,
     fan_validate,
     hirzebruch,
     inverse_image_coefficients,
@@ -157,8 +157,6 @@ def test_inverse_image_coefficients_p112():
     new = [i for i, r in enumerate(src.rays) if r not in w.rays]
     assert len(new) == 1
     rows = [inverse_image_coefficients(ref, a) for a in range(3)]
-    for r in rows:
-        assert not isinstance(r, NotPrincipal)
     # the exceptional ray appears with multiplicity 1 over D_0 and D_1, not D_2
     old_pos = {r: i for i, r in enumerate(src.rays)}
     for a, ray in enumerate(w.rays):
@@ -179,7 +177,7 @@ def test_minimal_cone_containing():
 
 def test_json_roundtrip():
     f = hirzebruch(1)
-    g = Fan.from_json_obj(json.loads(f.to_json()))
+    g = Fan.from_json_obj(json.loads(json.dumps(f._asdict())))
     assert f == g
 
 
@@ -338,7 +336,9 @@ def test_inverse_image_coefficients_match_a_wide_box(f):
     # (see fan._ideal_corners), well inside the radius
     ref = resolve_2d(f)
     for i in range(len(f.rays)):
-        got = inverse_image_coefficients(ref, i)
+        try:
+            got = inverse_image_coefficients(ref, i)
+        except NotPrincipalError as e:
+            got = e.reason.startswith("no simultaneous")
         want = _box_pullback_oracle(ref, i, 24)
-        assert (got.reason.startswith("no simultaneous") if isinstance(got, NotPrincipal)
-                else got) == (True if want == "not principal" else want), (f, i)
+        assert got == (True if want == "not principal" else want), (f, i)

@@ -17,7 +17,7 @@ def test_global_fields_give_trivial_monoid():
     for fd in (FieldDescriptor.number_field(),
                FieldDescriptor.global_function_field(9)):
         spec = rho_of(fd)
-        assert spec.is_trivial()
+        assert spec.allowed is Allowed.NONE
         assert rho_contains(spec, 1)
         assert not rho_contains(spec, 2)
         assert spec.note
@@ -64,13 +64,13 @@ def test_hereditarily_euclidean():
     assert rho_contains(spec, 4) and not rho_contains(spec, 3)
     fd = FieldDescriptor.function_field(BaseClass.HEREDITARILY_EUCLIDEAN, 0,
                                         curve_has_real_point=True)
-    assert rho_of(fd).is_trivial()
+    assert rho_of(fd).allowed is Allowed.NONE
 
 
 def test_conservative_bases():
     for base in (BaseClass.FINITE, BaseClass.HILBERTIAN_CHAR0, BaseClass.OTHER):
         fd = FieldDescriptor.function_field(base, 0 if base != BaseClass.FINITE else 5)
-        assert rho_of(fd).is_trivial()
+        assert rho_of(fd).allowed is Allowed.NONE
         assert "conservative" in rho_of(fd).note
 
 

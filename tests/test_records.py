@@ -9,7 +9,7 @@ from toricapprox.conditions import (DivisorCondition, Kind, MultiplicitySet, Pai
                                     ToricPair, Variant, darmon)
 from toricapprox.decide import Holds, Pi1Result, Thinness, ThinnessReport, Verdict
 from toricapprox.enumerate import Census, CrosscheckReport
-from toricapprox.fan import Fan, NotPrincipal, RefinementMap, projective_space
+from toricapprox.fan import Fan, RefinementMap, projective_space
 from toricapprox.fields import (Allowed, BaseClass, FieldDescriptor, FieldFlags, FieldKind,
                                 RhoSpec, TriBool)
 from toricapprox.intlat import INF, LatticeBasis, QuotientStructure, SmithDecomposition
@@ -28,8 +28,7 @@ RECORDS = [
     (LatticeBasis, dict(ambient_dim=2, basis=((1, 0), (0, 2)))),
     (QuotientStructure, dict(invariant_factors=(2, 4), free_rank=1)),
     (Fan, dict(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))),
-    (RefinementMap, dict(source=P1, target=P1, ray_embedding=(0, 1))),
-    (NotPrincipal, dict(reason="no simultaneous solution")),
+    (RefinementMap, dict(source=P1, target=P1)),
     (DivisorCondition, dict(kind=Kind.FINITE_SET, m=None, values=(0, 2), allow_infinity=True)),
     (MultiplicitySet, dict(variant=Variant.WEAK_CAMPANA, conditions=None, weak_m=(2, INF),
                            vectors=None)),
@@ -48,8 +47,7 @@ RECORDS = [
     (CoxPoint, dict(fan=P1, coords=(Fraction(1, 2), Fraction(0)))),
     (MPointWitness, dict(ok=False, prime=3, vector=(1, 0))),
     (LocalConstraint, dict(p=7, target=Fraction(-2, 3), k=2)),
-    (GammaData, dict(generators=((2, 0), (0, 3)), gamma=((2, -3),), rinv=((-1,), (-1,)),
-                     exponents=((-1, 1), (-1, 1)))),
+    (GammaData, dict(generators=((2, 0), (0, 3)), exponents=((-1, 1), (-1, 1)))),
     (ApproxCertificate, dict(point=POINT, closeness=((7, 2, INF),), multiplicities=(),
                              excluded_primes=(7,), witness=WITNESS)),
     (Census, dict(pair=PAIR, height=3, count=1, points=((1, 1),), normalization_note="h")),
