@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import product as _iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, RefinementMap, inverse_image_coefficients, is_smooth
+from .fan import Fan, RefinementMap, inverse_image_coefficients, is_complete, is_smooth
 from .intlat import (
     INF,
     QuotientStructure,
@@ -60,6 +60,8 @@ class DivisorCondition(namedtuple("DivisorCondition", "kind m values allow_infin
         elif self.kind is Kind.FINITE_SET:
             if self.values is None or not all(map(_is_natural, self.values)):
                 raise ValueError("FINITE_SET needs a tuple of naturals")
+            if type(self.allow_infinity) is not bool:
+                raise ValueError(f"allow_infinity must be true or false, got {self.allow_infinity!r}")
         elif self.m is not None:
             raise ValueError(f"{self.kind.value} takes no parameter")
         return self
@@ -238,7 +240,7 @@ def condition_from_json(obj: dict) -> DivisorCondition:
         return DivisorCondition(kind, _m_from_json(obj["m"]))
     if kind is Kind.FINITE_SET:
         return DivisorCondition(kind, values=tuple(obj["values"]),
-                                allow_infinity=bool(obj.get("allow_infinity", False)))
+                                allow_infinity=obj.get("allow_infinity", False))
     return DivisorCondition(kind)
 
 
@@ -298,14 +300,14 @@ def pair_invariants(pair: ToricPair) -> PairInvariants:
     return _invariants_from_gens(pair, nm_generators(pair)[0])
 
 
-def _invariants_from_gens(pair: ToricPair, gens, notes=()) -> PairInvariants:
+def _invariants_from_gens(pair: ToricPair, gens, notes=(), known_full=False) -> PairInvariants:
     """N_M from gens, its index read off the quotient, and whether cone(gens)
-    is all of N_R."""
+    is all of N_R: known_full when the caller has shown it, else one LP."""
     d = pair.fan.dim
     lattice = lattice_from_generators(gens, d)
     quot = quotient_invariants(lattice, d)
     index = quot.order()
-    full = cone_is_full(gens, d, lattice.rank)
+    full = known_full or cone_is_full(gens, d, lattice.rank)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
         notes += (f"custom({len(pair.conditions.vectors)} vectors; the list is treated as "
@@ -349,6 +351,10 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     lattice per source cone, and for WEAK_CAMPANA they are read from the
     pulled-back weights.  Other multiplicity sets are enumerated over
     cone-supported vectors with entries <= W (W recorded in the notes).
+
+    The exact construction holds K rho_beta, K >= 1, for every ray beta of
+    each S_tau.  When the S_tau cover the rays of a complete source fan,
+    cone(N_M^+) holds the cone on all of them, which is N_R, and no LP runs.
     """
     fan0 = pair.fan
     src = refinement.source
@@ -358,8 +364,10 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     assert all(x >= 0 for row in coeffs for x in row), "negative pullback coefficient"
 
     ms = pair.conditions
+    full = False
     if ms.variant is Variant.PRODUCT and all(c.kind in _EXACT_KINDS for c in ms.conditions):
-        gens = _exact_pullback_generators(src, ms.conditions, coeffs)
+        gens, covered = _exact_pullback_generators(src, ms.conditions, coeffs)
+        full = len(covered) == len(src.rays) and is_complete(src)
         note = "pullback generators: exact congruence lattice per source cone"
     elif ms.variant is Variant.WEAK_CAMPANA:
         gens = _weak_campana_generators(src, ms.weak_m, coeffs)
@@ -368,11 +376,12 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
         W = _box_bound(ms, coeffs)
         gens = _box_generators(src, pulled_back_set(ms, coeffs), W)
         note = f"pullback enumeration bound W={W}"
-    return _invariants_from_gens(pair, gens, notes=(note,))
+    return _invariants_from_gens(pair, gens, notes=(note,), known_full=full)
 
 
-def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
-    """phi of admissible vectors generating N_{f*M} as a lattice and cone(N^+).
+def _exact_pullback_generators(src: Fan, conds, coeffs) -> tuple:
+    """phi of admissible vectors generating N_{f*M} as a lattice and cone(N^+),
+    and the rays that lie in some S_tau.
 
     On a source cone tau only the rays in S_tau (those hitting no row that
     forbids positive finite values) may be nonzero.  The admissible vectors on
@@ -384,12 +393,13 @@ def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
     camp = max((c.m for c in conds if c.kind is Kind.CAMPANA and c.m != INF), default=0)
     congr = [(row, c.m) for row, c in zip(coeffs, conds)
              if c.kind in (Kind.DARMON, Kind.STRICT_DARMON) and c.m != INF and c.m > 1]
-    gens = set()
+    gens, covered = set(), set()
     for tau in src.max_cones:
         S = [b for b in tau
              if all(cd.finite_part_unbounded() for row, cd in zip(coeffs, conds) if row[b] > 0)]
         if not S:
             continue
+        covered.update(S)
         rows = [([row[b] for b in S], m) for row, m in congr if any(row[b] for b in S)]
         r = len(rows)
         # w is in L_tau iff (0, w) lies in the lattice spanned by the
@@ -407,7 +417,7 @@ def _exact_pullback_generators(src: Fan, conds, coeffs) -> list:
         rays = [src.rays[b] for b in S]
         for v in vecs:
             gens.add(tuple(sum(x * r[j] for x, r in zip(v, rays)) for j in range(src.dim)))
-    return sorted(gens)
+    return sorted(gens), covered
 
 
 def _weak_campana_generators(fan: Fan, weak_m, coeffs) -> list:

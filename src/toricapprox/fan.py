@@ -30,21 +30,19 @@ class Fan(NamedTuple):
 
     @classmethod
     def make(cls, dim, rays, max_cones) -> "Fan":
-        return cls(dim,
-                   tuple(tuple(int(x) for x in r) for r in rays),
-                   tuple(tuple(sorted(int(i) for i in c)) for c in max_cones))
+        """Refuses a float, string or bool where an integer belongs."""
+        rays, cones = tuple(map(tuple, rays)), tuple(map(tuple, max_cones))
+        bad = [x for x in (dim, *_chain(*rays), *_chain(*cones)) if type(x) is not int]
+        if bad:
+            raise TypeError(f"dim, ray entries and cone indices must be integers, got {bad[0]!r}")
+        return cls(dim, rays, tuple(tuple(sorted(c)) for c in cones))
 
     def cone_rays(self, cone) -> list:
         return [self.rays[i] for i in cone]
 
     @classmethod
     def from_json_obj(cls, obj) -> "Fan":
-        """Refuses a float, string or bool where make would truncate it."""
-        dim, rays, cones = obj["dim"], obj["rays"], obj["max_cones"]
-        bad = [x for x in (dim, *_chain(*rays), *_chain(*cones)) if type(x) is not int]
-        if bad:
-            raise TypeError(f"dim, ray entries and cone indices must be integers, got {bad[0]!r}")
-        return cls.make(dim, rays, cones)
+        return cls.make(obj["dim"], obj["rays"], obj["max_cones"])
 
 
 class RefinementMap(NamedTuple):

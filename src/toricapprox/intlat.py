@@ -278,8 +278,7 @@ def _lp_feasible(Arows: list, b: list) -> bool:
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
-            # unbounded phase-1 objective cannot happen; treat as infeasible guard
-            return False
+            raise AssertionError("phase-1 simplex unbounded: its objective is at least 0")
         _, leave = best
         piv = T[leave][enter]
         T[leave] = [x / piv for x in T[leave]]

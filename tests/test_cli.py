@@ -413,11 +413,15 @@ def _fan_json(dim=2, rays=([1, 0], [0, 1], [-1, -1]), cones=([0, 1], [1, 2], [0,
            "char must be a JSON int, got 2.9"),
           ({"kind": "function_field", "base": "real_closed", "curve_has_real_point": "no"},
            "curve_has_real_point must be a JSON bool, got 'no'"))],
+    *[(["check-point", "--fan", "p1", "--point", '{"coords": ["0", "1"]}', "--json", "--cond",
+        '[{"type": "finite_set", "values": [2], "allow_infinity": %s}, {"type": "any"}]' % flag],
+       f"cannot read conditions: allow_infinity must be true or false, got {got}")
+      for flag, got in (('"no"', "'no'"), ("null", "None"), ("1", "1"), ("0", "0"))],
 ])
 def test_json_fields_are_not_coerced(capsys, argv, msg):
-    """A fan or field given as JSON takes integers and booleans as they are:
-    a float, string or bool in their place exits 2 rather than being
-    truncated or read for its truth value."""
+    """A fan, field or condition given as JSON takes integers and booleans as
+    they are: a float, string, null or bool in their place exits 2 rather
+    than being truncated or read for its truth value."""
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "") and err.startswith("input error: ") and err.endswith(msg + "\n")
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,6 +382,45 @@ def test_weak_campana_generators_against_the_box_search(ref, data):
     assert exact.cone_full or not oracle.cone_full
 
 
+def _singular_grid():
+    """P(1,1,r) pairs, r in {2, 3, 5, 7}: Darmon, Campana and strict Darmon
+    conditions with m in {1, 2, 3, 4, 6, inf}^3, then the triples over ANY,
+    INTEGRAL, Darmon 2, Campana 3, strict Darmon 4 and Darmon inf that hold
+    ANY or INTEGRAL."""
+    ms = (1, 2, 3, 4, 6, INF)
+    mix = [DivisorCondition(Kind.ANY), DivisorCondition(Kind.INTEGRAL),
+           DivisorCondition(Kind.DARMON, 2), DivisorCondition(Kind.CAMPANA, 3),
+           DivisorCondition(Kind.STRICT_DARMON, 4), DivisorCondition(Kind.DARMON, INF)]
+    for r in (2, 3, 5, 7):
+        for kind in (Kind.DARMON, Kind.CAMPANA, Kind.STRICT_DARMON):
+            for m in iter_product(ms, repeat=3):
+                yield r, [DivisorCondition(kind, x) for x in m]
+        for conds in iter_product(mix, repeat=3):
+            if any(c.kind in (Kind.ANY, Kind.INTEGRAL) for c in conds):
+                yield r, list(conds)
+
+
+def test_singular_cone_full_is_read_off_the_pullback(monkeypatch):
+    """On 3,200 singular pairs cone_full is what one LP on the generators
+    says, and where the S_tau cover every source ray no LP runs: that holds
+    exactly when each condition whose divisor's inverse image is nonzero
+    admits arbitrarily large finite multiplicities."""
+    calls = []
+    lp = intlat._lp_feasible
+    monkeypatch.setattr(intlat, "_lp_feasible", lambda *a: calls.append(a) or lp(*a))
+    seen = {True: 0, False: 0}
+    for r, conds in _singular_grid():
+        ref = resolve_2d(weighted_P11r(r))
+        coeffs = [inverse_image_coefficients(ref, a) for a in range(3)]
+        covered = all(c.finite_part_unbounded() for row, c in zip(coeffs, conds) if any(row))
+        calls.clear()
+        inv = nm_singular(ToricPair(ref.target, MultiplicitySet.of(conds)), ref)
+        assert not (covered and calls), (r, conds)
+        assert inv.cone_full == cone_is_full(inv.cone_generators, 2), (r, conds)
+        seen[covered] += 1
+    assert sum(seen.values()) == 3200 and seen[True] and seen[False]
+
+
 def test_json_parsing():
     ms = conditions_from_json([{"type": "campana", "m": 2},
                                {"type": "darmon", "m": "inf"}])
@@ -391,3 +431,10 @@ def test_json_parsing():
     assert ms.admits_vector((INF, 0))
     ms = conditions_from_json({"type": "weak_campana", "m": [2, "inf"]})
     assert ms == MultiplicitySet.weak_campana([2, INF])
+    for flag in (True, False, None):
+        obj = {"type": "finite_set", "values": [2]}
+        if flag is not None:
+            obj["allow_infinity"] = flag
+        assert conditions_from_json([obj]).conditions[0].admits(INF) is bool(flag)
+    with pytest.raises(ValueError, match="allow_infinity must be true or false, got 'no'"):
+        conditions_from_json([{"type": "finite_set", "values": [2], "allow_infinity": "no"}])

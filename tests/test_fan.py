@@ -175,6 +175,17 @@ def test_minimal_cone_containing():
     assert set(cone) == {p2.rays.index((1, 0)), p2.rays.index((0, 1))}
 
 
+@pytest.mark.parametrize("dim, rays, cones, bad", [
+    (2, [(1.5, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], 1.5),
+    (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1.0), (1, 2), (0, 2)], 1.0),
+    (2, [(1, 0), (0, True), (-1, -1)], [(0, 1), (1, 2), (0, 2)], True),
+    (2.0, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], 2.0),
+])
+def test_make_refuses_what_it_would_truncate(dim, rays, cones, bad):
+    with pytest.raises(TypeError, match=f"must be integers, got {bad!r}$"):
+        Fan.make(dim, rays, cones)
+
+
 def test_json_roundtrip():
     f = hirzebruch(1)
     g = Fan.from_json_obj(json.loads(json.dumps(f._asdict())))
