@@ -140,9 +140,7 @@ def _emit_verdict(v: Verdict, args) -> int:
         print(f"{v.property}: {v.holds.value.upper()}")
         for r in v.reasons:
             print(f"  - {r}")
-    if args.assert_ and v.holds is Holds.NO:
-        return 1
-    return 0
+    return 1 if args.assert_ and v.holds is Holds.NO else 0
 
 
 def _pair(args) -> ToricPair:
@@ -236,15 +234,12 @@ def cmd_check_point(args) -> int:
         print(json.dumps({"is_m_point": w.ok, "prime": w.prime,
                           "vector": None if w.vector is None
                           else [str(x) for x in w.vector]}))
+    elif w.ok:
+        print("M-point: yes")
     else:
-        if w.ok:
-            print("M-point: yes")
-        else:
-            where = f"at p={w.prime}" if w.prime else "generically"
-            print(f"M-point: no ({where}, multiplicities {w.vector})")
-    if args.assert_ and not w.ok:
-        return 1
-    return 0
+        where = f"at p={w.prime}" if w.prime else "generically"
+        print(f"M-point: no ({where}, multiplicities {w.vector})")
+    return 1 if args.assert_ and not w.ok else 0
 
 
 def cmd_approximate(args) -> int:
@@ -266,10 +261,7 @@ def cmd_enumerate(args) -> int:
     from .enumerate import census_to_csv, enumerate_projective, enumerate_toric
 
     pair = _pair(args)
-    if args.interior:
-        census = enumerate_toric(pair, args.height)
-    else:
-        census = enumerate_projective(pair, args.height)
+    census = (enumerate_toric if args.interior else enumerate_projective)(pair, args.height)
     if args.csv:
         print(census_to_csv(census), end="")
     elif args.json:
@@ -296,7 +288,6 @@ def cmd_crosscheck(args) -> int:
 def example_catalog(name: str, params: dict):
     """Worked setups with their expected verdicts attached."""
     Q = FieldDescriptor.number_field()
-    rho = rho_of(Q)
 
     def mults(default, count, finite=True):
         m = tuple(params.get("m", default))
@@ -312,7 +303,7 @@ def example_catalog(name: str, params: dict):
             raise InputError(f"example pn-darmon needs n >= 2, got {n}")
         m = mults((2, 3, 5), n, finite=False)
         fan = projective_space(n - 1)
-        expected = darmon_projective_closed_form(n, m, rho, True).holds
+        expected = darmon_projective_closed_form(n, m, rho_of(Q), True).holds
         return fan, darmon(list(m)), Q, expected
     if name == "hirzebruch":
         r = int(params.get("r", 2))
@@ -361,12 +352,27 @@ def cmd_example(args) -> int:
     return 0 if match else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command and the function that runs it, in the order --help lists them
+COMMANDS = {"validate": cmd_validate, "analyze": cmd_analyze, "decide": cmd_decide,
+            "pi1": cmd_pi1, "check-point": cmd_check_point, "approximate": cmd_approximate,
+            "enumerate": cmd_enumerate, "crosscheck": cmd_crosscheck, "example": cmd_example}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command, or, when argv names one, of that command
+    alone and, under decide or example, of the verdict or example it names."""
     p = argparse.ArgumentParser(prog="toricapprox",
                                 description="Approximation, Hilbert-property and "
                                 "thinness verdicts for toric pairs over Q")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+
+    def subcommands(parser, dest, names, i):
+        """add_parser for dest, giving None for every name but argv[i] if
+        argv[i] is one of names; usage still lists them all."""
+        keep = argv[i] if len(argv) > i and argv[i] in names else None
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    metavar=keep and "{" + ",".join(names) + "}")
+        return lambda name, **kw: sub.add_parser(name, **kw) if keep in (None, name) else None
 
     def common(sp, cond=True):
         """--fan, --json and, with cond, at most one of the three condition
@@ -383,86 +389,78 @@ def build_parser() -> argparse.ArgumentParser:
             given.add_argument("--campana", help="comma list of m (or inf) per ray")
         return output
 
-    sp = sub.add_parser("validate", help="check a fan (and optional conditions)")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
+    add = subcommands(p, "command", COMMANDS, 0)
+    if sp := add("validate", help="check a fan (and optional conditions)"):
+        common(sp)
+    if sp := add("analyze", help="print the pair invariants"):
+        common(sp)
 
-    sp = sub.add_parser("analyze", help="print the pair invariants")
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("decide", help="theorem-level verdicts")
-    verdicts = sp.add_subparsers(dest="what", required=True)
     # each verdict: conditions?, --everywhere?, --assert?, the flags it alone reads
-    for what, cond, everywhere, assert_, own in (
-            ("m-approx", True, True, True, {}),
-            ("strong-approx", False, True, True,
-             {"--removed": dict(help="comma list of ray indices to remove")}),
-            ("integral", True, True, True, {}),
-            ("thinness", True, True, False,
-             {"--b-equals-c": dict(action="store_true",
-                                   help="the model is proper (B = C, function fields)")}),
-            ("hilbert", True, False, True, {})):
-        vp = verdicts.add_parser(what)
-        common(vp, cond)
-        vp.add_argument("--field", help="field JSON or 'q' (default: Q)")
-        if everywhere:
-            vp.add_argument("--everywhere", action="store_true",
-                            help="T empty: approximation at the full place set")
-        if assert_:
-            vp.add_argument("--assert", dest="assert_", action="store_true",
-                            help="exit 1 on a NO verdict")
-        for flag, kwargs in own.items():
-            vp.add_argument(flag, **kwargs)
-        vp.set_defaults(func=cmd_decide)
+    verdicts = {
+        "m-approx": (True, True, True, {}),
+        "strong-approx": (False, True, True,
+                          {"--removed": dict(help="comma list of ray indices to remove")}),
+        "integral": (True, True, True, {}),
+        "thinness": (True, True, False,
+                     {"--b-equals-c": dict(action="store_true",
+                                           help="the model is proper (B = C, function fields)")}),
+        "hilbert": (True, False, True, {})}
+    if sp := add("decide", help="theorem-level verdicts"):
+        add_verdict = subcommands(sp, "what", verdicts, 1)
+        for what, (cond, everywhere, assert_, own) in verdicts.items():
+            if vp := add_verdict(what):
+                common(vp, cond)
+                vp.add_argument("--field", help="field JSON or 'q' (default: Q)")
+                if everywhere:
+                    vp.add_argument("--everywhere", action="store_true",
+                                    help="T empty: approximation at the full place set")
+                if assert_:
+                    vp.add_argument("--assert", dest="assert_", action="store_true",
+                                    help="exit 1 on a NO verdict")
+                for flag, kwargs in own.items():
+                    vp.add_argument(flag, **kwargs)
 
-    sp = sub.add_parser("pi1", help="fundamental group of the root stack")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--m", required=True, help="comma list of multiplicities")
-    sp.add_argument("--char", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_pi1)
+    if sp := add("pi1", help="fundamental group of the root stack"):
+        sp.add_argument("--fan", required=True)
+        sp.add_argument("--m", required=True, help="comma list of multiplicities")
+        sp.add_argument("--char", type=int, default=0)
+        sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("check-point", help="M-point membership with witness")
-    common(sp)
-    sp.add_argument("--point", required=True, help='{"coords": ["12","5","9"]}')
-    sp.add_argument("--exclude", help="comma list of excluded primes")
-    sp.add_argument("--assert", dest="assert_", action="store_true")
-    sp.set_defaults(func=cmd_check_point)
+    if sp := add("check-point", help="M-point membership with witness"):
+        common(sp)
+        sp.add_argument("--point", required=True, help='{"coords": ["12","5","9"]}')
+        sp.add_argument("--exclude", help="comma list of excluded primes")
+        sp.add_argument("--assert", dest="assert_", action="store_true")
 
-    sp = sub.add_parser("approximate", help="construct an M-point near targets")
-    common(sp)
-    sp.add_argument("--targets", required=True,
-                    help='{"2": {"point": {"coords": [..]}, "digits": 2}, ...}')
-    sp.set_defaults(func=cmd_approximate)
+    if sp := add("approximate", help="construct an M-point near targets"):
+        common(sp)
+        sp.add_argument("--targets", required=True,
+                        help='{"2": {"point": {"coords": [..]}, "digits": 2}, ...}')
 
-    sp = sub.add_parser("enumerate", help="bounded-height census")
-    common(sp).add_argument("--csv", action="store_true")
-    sp.add_argument("--height", type=int, required=True)
-    sp.add_argument("--interior", action="store_true",
-                    help="all-nonzero Cox tuples on a general smooth fan")
-    sp.set_defaults(func=cmd_enumerate)
+    if sp := add("enumerate", help="bounded-height census"):
+        common(sp).add_argument("--csv", action="store_true")
+        sp.add_argument("--height", type=int, required=True)
+        sp.add_argument("--interior", action="store_true",
+                        help="all-nonzero Cox tuples on a general smooth fan")
 
-    sp = sub.add_parser("crosscheck", help="fan machinery vs arithmetic oracle")
-    common(sp)
-    sp.add_argument("--height", type=int, required=True)
-    sp.set_defaults(func=cmd_crosscheck)
+    if sp := add("crosscheck", help="fan machinery vs arithmetic oracle"):
+        common(sp)
+        sp.add_argument("--height", type=int, required=True)
 
-    sp = sub.add_parser("example", help="worked setups with expected verdicts")
-    examples = sp.add_subparsers(dest="name", required=True)
-    for name, params in (("pn-darmon", "nm"), ("hirzebruch", "rm"), ("p11r", "rm"),
-                         ("affine-space", "d")):
-        ep = examples.add_parser(name)
-        for k in params:
-            ep.add_argument("--" + k, type=None if k == "m" else int)
-        ep.add_argument("--json", action="store_true")
-        ep.set_defaults(func=cmd_example)
+    examples = {"pn-darmon": "nm", "hirzebruch": "rm", "p11r": "rm", "affine-space": "d"}
+    if sp := add("example", help="worked setups with expected verdicts"):
+        add_example = subcommands(sp, "name", examples, 1)
+        for name, params in examples.items():
+            if ep := add_example(name):
+                for k in params:
+                    ep.add_argument("--" + k, type=None if k == "m" else int)
+                ep.add_argument("--json", action="store_true")
     return p
 
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (ScanCapExhausted, NotPrincipalError, FactorizationError, AssertionError,
             ArithmeticError, MemoryError) as e:
         print(f"computational defect: {str(e) or type(e).__name__}", file=sys.stderr)
@@ -475,7 +473,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     """Run one command.  Its output is held until its exit status is decided,
     so a reader that closes the pipe early changes neither."""
-    args = build_parser().parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     out = io.StringIO()
     try:
         with redirect_stdout(out):

@@ -233,14 +233,26 @@ def _m_from_json(x):
     raise ValueError(f"multiplicity must be an integer or 'inf', got {x!r}")
 
 
+def _only_keys(obj: dict, *keys) -> dict:
+    """obj, refused if it carries a key other than "type" and keys."""
+    extra = [k for k in obj if k != "type" and k not in keys]
+    if extra:
+        raise ValueError(f"{obj['type']} takes no key {extra[0]!r}")
+    return obj
+
+
 def condition_from_json(obj: dict) -> DivisorCondition:
     """Parse one divisor condition, e.g. {"type": "campana", "m": 2}."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a condition must be a JSON object, got {obj!r}")
     kind = Kind(obj["type"])
     if kind in _PARAMETRIC:
-        return DivisorCondition(kind, _m_from_json(obj["m"]))
+        return DivisorCondition(kind, _m_from_json(_only_keys(obj, "m")["m"]))
     if kind is Kind.FINITE_SET:
+        _only_keys(obj, "values", "allow_infinity")
         return DivisorCondition(kind, values=tuple(obj["values"]),
                                 allow_infinity=obj.get("allow_infinity", False))
+    _only_keys(obj)
     return DivisorCondition(kind)
 
 
@@ -248,11 +260,12 @@ def conditions_from_json(obj) -> MultiplicitySet:
     """Parse a multiplicity set: a per-ray condition list, or a variant object."""
     if isinstance(obj, list):
         return MultiplicitySet.of([condition_from_json(o) for o in obj])
-    if obj.get("type") == "custom":
+    variant = obj.get("type") if isinstance(obj, dict) else None
+    if variant == "custom":
         return MultiplicitySet.custom(
-            [[_m_from_json(x) for x in v] for v in obj["vectors"]])
-    if obj.get("type") == "weak_campana":
-        return MultiplicitySet.weak_campana([_m_from_json(x) for x in obj["m"]])
+            [[_m_from_json(x) for x in v] for v in _only_keys(obj, "vectors")["vectors"]])
+    if variant == "weak_campana":
+        return MultiplicitySet.weak_campana([_m_from_json(x) for x in _only_keys(obj, "m")["m"]])
     raise ValueError(f"unrecognized multiplicity set: {obj!r}")
 
 
@@ -302,12 +315,19 @@ def pair_invariants(pair: ToricPair) -> PairInvariants:
 
 def _invariants_from_gens(pair: ToricPair, gens, notes=(), known_full=False) -> PairInvariants:
     """N_M from gens, its index read off the quotient, and whether cone(gens)
-    is all of N_R: known_full when the caller has shown it, else one LP."""
+    is all of N_R: known_full when the caller has shown it, else one LP.  Both
+    read one generator per primitive direction v: multiples c_1 v, ..., c_k v
+    generate gcd(c) Z v and the ray of v, so the HNF takes gcd(c) v, the LP v."""
     d = pair.fan.dim
-    lattice = lattice_from_generators(gens, d)
+    gcds = {}  # primitive direction v -> gcd(c) over the c v in gens
+    for g in filter(any, gens):
+        c = math.gcd(*g)
+        v = tuple(x // c for x in g)
+        gcds[v] = math.gcd(gcds.get(v, 0), c)
+    lattice = lattice_from_generators([tuple(c * x for x in v) for v, c in gcds.items()], d)
     quot = quotient_invariants(lattice, d)
     index = quot.order()
-    full = known_full or cone_is_full(gens, d, lattice.rank)
+    full = known_full or cone_is_full(list(gcds), d, lattice.rank)
     notes = tuple(notes)
     if pair.conditions.variant is Variant.CUSTOM:
         notes += (f"custom({len(pair.conditions.vectors)} vectors; the list is treated as "

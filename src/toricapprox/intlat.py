@@ -295,17 +295,14 @@ def _lp_feasible(Arows: list, b: list) -> bool:
 
 def cone_contains(generators: Sequence[Sequence[int]], v: Sequence) -> bool:
     """True iff v is a nonnegative rational combination of the generators (exact)."""
-    gens = [list(g) for g in generators]
-    vv = [Fraction(x) for x in v]
-    if all(x == 0 for x in vv):
+    if all(x == 0 for x in v):
         return True
-    if not gens:
+    if not generators:
         return False
-    d = len(vv)
-    if any(len(g) != d for g in gens):
+    d = len(v)
+    if any(len(g) != d for g in generators):
         raise ValueError("dimension mismatch")
-    A = [[Fraction(g[i]) for g in gens] for i in range(d)]
-    return _lp_feasible(A, vv)
+    return _lp_feasible([[g[i] for g in generators] for i in range(d)], v)
 
 
 def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int,
@@ -314,9 +311,11 @@ def cone_is_full(generators: Sequence[Sequence[int]], ambient_dim: int,
 
     That holds exactly when the generators have rank ambient_dim and -sum(G)
     lies in cone(G), a theorem of the alternative of Gordan type (Schrijver,
-    Theory of Linear and Integer Programming, ch. 7): one LP decides it.  The
-    rank is that of the lattice they generate: a caller that holds its HNF
-    basis passes it, else it is read off a new one.
+    Theory of Linear and Integer Programming, ch. 7): one LP decides it.  Any
+    generating set of the cone will do, such as one primitive vector per ray,
+    one LP column each; where they sum to 0 the LP answers at once.  The rank
+    is that of the lattice they generate (or of any lattice of that rank): a
+    caller that holds such an HNF basis passes it, else it is read off a new one.
     """
     if rank is None:
         rank = lattice_from_generators(generators, ambient_dim).rank

@@ -16,7 +16,9 @@ Fractions character by character.  The package reads a rank off the HNF
 (intlat.lattice_from_generators), the sign group of the relation torus off its
 definition and the common-face test off one primal LP; the tests check them
 against a fraction-free elimination, a Smith-form kernel basis and the dual
-separating-functional LP.
+separating-functional LP.  It reads N_M and the fullness of its cone off one
+generator per primitive direction; the tests check both against every
+generator as its own column.
 """
 import math
 from fractions import Fraction
@@ -26,7 +28,9 @@ from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
 from toricapprox.conditions import _phi
 from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
 from toricapprox.fan import Fan, RefinementMap, _cone_inverses, minimal_cone_containing
-from toricapprox.intlat import INF, _lp_feasible, cone_coords, right_inverse, snf
+from toricapprox.intlat import (INF, _lp_feasible, cone_contains, cone_coords,
+                                lattice_from_generators, quotient_invariants, right_inverse,
+                                snf)
 from toricapprox.points import CoxPoint, is_squarefree, m_point_check, v_p
 
 
@@ -77,6 +81,16 @@ def rank(vectors) -> int:
         rows = [row for row in rows if any(row)]
         r += 1
     return r
+
+
+def raw_invariants(gens, d: int) -> tuple:
+    """Index, invariant factors, free rank and cone fullness of the vectors
+    gens in Z^d, each its own column: one HNF of them all, and the Gordan LP
+    cone_contains(gens, -sum(gens)) once they span R^d."""
+    lattice = lattice_from_generators(gens, d)
+    quot = quotient_invariants(lattice, d)
+    full = lattice.rank == d and cone_contains(gens, [-sum(c) for c in zip(*gens)])
+    return quot.order(), quot.invariant_factors, quot.free_rank, full
 
 
 def torus_kernel_basis(fan: Fan) -> list:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricapprox
-from toricapprox.cli import main, parse_fan
+from toricapprox.cli import build_parser, main, parse_fan
 from toricapprox.conditions import Kind
 from toricapprox.fan import NotPrincipalError, hirzebruch, product, projective_space
 from toricapprox.points import _factorize_cached
@@ -426,6 +426,61 @@ def test_json_fields_are_not_coerced(capsys, argv, msg):
     assert (rc, out) == (2, "") and err.startswith("input error: ") and err.endswith(msg + "\n")
 
 
+@pytest.mark.parametrize("cond, msg", [
+    ([{"type": "any", "m": 7}, {"type": "any"}, {"type": "any"}], "any takes no key 'm'"),
+    ([{"type": "campana", "m": 2, "values": [5]}] * 3, "campana takes no key 'values'"),
+    ([{"type": "darmon", "m": 2}, {"type": "finite_set", "values": [2], "m": 3},
+      {"type": "any"}], "finite_set takes no key 'm'"),
+    ([{"type": "any"}, 5, {"type": "any"}], "a condition must be a JSON object, got 5"),
+    ([{"type": "any"}, ["darmon", 2], {"type": "any"}],
+     "a condition must be a JSON object, got ['darmon', 2]"),
+    ({"type": "custom", "vectors": [[0, 0, 0]], "m": [2, 2, 2]}, "custom takes no key 'm'"),
+    ({"type": "weak_campana", "m": [2, 2, 2], "values": [1]},
+     "weak_campana takes no key 'values'"),
+])
+def test_json_conditions_take_only_their_own_keys(capsys, cond, msg):
+    """A JSON condition is read as strictly as the Python API reads one: a
+    key its kind does not take, or a list entry that is not an object, exits
+    2 rather than being dropped."""
+    rc, out, err = run(capsys, "analyze", "--fan", "p2", "--cond", json.dumps(cond))
+    assert (rc, out, err) == (2, "", f"input error: cannot read conditions: {msg}\n")
+
+
+# each: the help, version or usage error that the parser of the command argv
+# names must print exactly as the parser of every command does
+_PARSER_ARGV = [
+    [], ["--help"], ["--version"], ["bogus"], ["--", "bogus"], ["decide"], ["decide", "--help"],
+    ["decide", "bogus"], ["example"], ["example", "--help"], ["analyze", "--help"],
+    ["pi1", "--help"], ["decide", "thinness", "--help"], ["example", "p11r", "--help"],
+    ["analyze", "--fan", "p2", "--bogus"],
+    ["analyze", "--fan", "p2", "--darmon", "2", "--campana", "2"],
+    ["decide", "m-approx", "--fan", "p2", "--darmon", "2,2,2", "--removed=0"],
+    ["decide", "hilbert", "--fan", "p1", "--everywhere"], ["decide", "--fan", "p2", "m-approx"],
+    ["check-point", "--fan", "p2"], ["enumerate", "--fan", "p2", "--height", "x"],
+    ["example", "hirzebruch", "--m"], ["example", "pn-darmon", "--n", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_the_parser_of_the_named_command_prints_what_the_full_one_does(argv):
+    def parse(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    assert parse(build_parser(argv)) == parse(build_parser())
+
+
+def test_the_parser_builds_only_the_named_command_and_verdict(capsys):
+    argv = ["decide", "m-approx", "--fan", "p2", "--darmon", "2,2,2"]
+    assert build_parser(argv).parse_args(argv).what == "m-approx"
+    for other in (["analyze", "--fan", "p2"], ["decide", "integral", "--fan", "p2"]):
+        with pytest.raises(SystemExit):
+            build_parser(argv).parse_args(other)
+        assert "invalid choice" in capsys.readouterr().err
+
+
 # Each (command, flag) pair here was once accepted and then ignored.  Each
 # base call runs as it is; adding the flag makes argparse reject the call.
 _P2_DARMON = ["--fan", "p2", "--darmon", "2,2,2"]
@@ -482,7 +537,7 @@ def test_a_flag_before_the_verdict_name_exits_2(capsys):
 _SCALAR = (st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
            | st.sampled_from(["", "inf", "2", "x", "1/2"]))
 _KEYS = st.sampled_from(["dim", "rays", "max_cones", "coords", "point", "digits",
-                         "type", "m", "values", "vectors", "7"])
+                         "type", "m", "values", "allow_infinity", "vectors", "7", "mult"])
 _JSON = st.recursive(_SCALAR, lambda kids: st.lists(kids, max_size=4)
                      | st.dictionaries(_KEYS, kids, max_size=3), max_leaves=8)
 _BUILTIN_RAYS = {"p1": 2, "p2": 3, "p1xp1": 4, "h:1": 4, "p11r:2": 3}
@@ -496,12 +551,18 @@ _BAD_FAN = st.one_of(
     _JSON.map(json.dumps))
 _TOKEN = st.sampled_from(["1", "2", "3", "inf"])
 _BAD_TOKEN = st.sampled_from(["0", "-1", "oo", "x", ""])
+# the keys each kind of condition takes besides "type"
+_TAKES = {"campana": "m", "darmon": "m", "strict_darmon": "m", "finite_set": "values"}
 _CONDITION = st.fixed_dictionaries({
     "type": st.sampled_from([k.value for k in Kind]), "m": st.integers(1, 4),
-    "values": st.just([1, 2])})
+    "values": st.just([1, 2])}).map(
+    lambda o: {k: v for k, v in o.items() if k in ("type", _TAKES.get(o["type"]))})
+# a malformed type or m, a key the kind does not take, or not an object
 _BAD_CONDITION = st.fixed_dictionaries({
     "type": st.sampled_from([k.value for k in Kind] + ["bogus"]) | _JSON,
-    "m": st.integers(-1, 4) | st.just("inf") | _JSON})
+    "m": st.integers(-1, 4) | st.just("inf") | _JSON}) \
+    | st.builds(dict, _CONDITION, allow_infinity=st.booleans() | _JSON) \
+    | st.builds(dict, _CONDITION, mult=_SCALAR) | _SCALAR
 _COORD = st.integers(-9, 9) | st.sampled_from(["1/2", "-4/9", "12"])
 _BAD_COORD = st.sampled_from(["x", "1/0"]) | _SCALAR
 
@@ -513,9 +574,11 @@ def _conds(n, bad):
         mults |= st.lists(_TOKEN, max_size=5)
     cond_json = st.lists(_BAD_CONDITION if bad else _CONDITION, min_size=n, max_size=n)
     if bad:
-        cond_json |= st.fixed_dictionaries({
-            "type": st.sampled_from(["custom", "weak_campana"]),
-            "vectors": _JSON, "m": _JSON}) | _JSON
+        cond_json |= st.fixed_dictionaries(
+            {"type": st.just("custom"), "vectors": _JSON}, optional={"m": _JSON}) \
+            | st.fixed_dictionaries(
+                {"type": st.just("weak_campana"), "m": _JSON}, optional={"vectors": _JSON}) \
+            | _JSON
     options = [mults.map(lambda t: ["--darmon=" + ",".join(t)]),
                mults.map(lambda t: ["--campana=" + ",".join(t)]),
                cond_json.map(lambda o: ["--cond=" + json.dumps(o)])]

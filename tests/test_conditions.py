@@ -4,7 +4,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import identity_refinement, stellar_subdivide
+from oracles import identity_refinement, raw_invariants, stellar_subdivide
 from toricapprox import conditions as conditions_module
 from toricapprox import fan as fan_module, intlat
 from toricapprox.conditions import (
@@ -176,6 +176,43 @@ def test_invariants_from_gens_builds_one_hnf(monkeypatch, gens, full):
     inv = _invariants_from_gens(ToricPair(P2, darmon([2, 2, 2])), gens)
     assert len(calls) == 1
     assert inv.cone_full is full and cone_is_full(gens, 2) is full
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_one_generator_per_direction_matches_every_generator(d, data):
+    """Index, quotient and cone_full read off one generator per primitive
+    direction equal those of every generator as its own column, on lists
+    with collinear multiples, opposite directions, rank deficiency, zero
+    vectors, or nothing at all."""
+    gens = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), max_size=5))
+    for shape in data.draw(st.lists(st.sampled_from(["multiples", "opposite", "flat", "zero"]),
+                                    max_size=3)):
+        ks = data.draw(st.lists(st.integers(2, 6), min_size=len(gens), max_size=len(gens)))
+        if shape == "multiples":
+            gens = gens + [tuple(k * x for x in g) for g, k in zip(gens, ks)]
+        elif shape == "opposite":
+            gens = gens + [tuple(-k * x for x in g) for g, k in zip(gens, ks)]
+        elif shape == "flat":
+            gens = [g[:-1] + (0,) for g in gens]
+        else:
+            gens = gens + [(0,) * d]
+    inv = _invariants_from_gens(ToricPair(projective_space(d), darmon([2] * (d + 1))), gens)
+    got = (inv.index, inv.quotient.invariant_factors, inv.quotient.free_rank, inv.cone_full)
+    assert got == raw_invariants(gens, d), gens
+    assert inv.cone_generators == tuple(gens)
+
+
+def test_the_lp_takes_one_column_per_ray(monkeypatch):
+    """Campana 2,3,5,2 on H_2 has 8 generators, two multiples of each ray;
+    the LP gets the 4 rays."""
+    columns = []
+    lp = intlat._lp_feasible
+    monkeypatch.setattr(intlat, "_lp_feasible",
+                        lambda A, b: columns.append(len(A[0])) or lp(A, b))
+    inv = pair_invariants(ToricPair(hirzebruch(2), campana([2, 3, 5, 2])))
+    assert len(inv.cone_generators) == 8 and columns == [4]
+    assert inv.index == 1 and inv.cone_full
 
 
 def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):
@@ -438,3 +475,12 @@ def test_json_parsing():
         assert conditions_from_json([obj]).conditions[0].admits(INF) is bool(flag)
     with pytest.raises(ValueError, match="allow_infinity must be true or false, got 'no'"):
         conditions_from_json([{"type": "finite_set", "values": [2], "allow_infinity": "no"}])
+    # as strict as the Python API: DivisorCondition(Kind.ANY, 7) raises too
+    for obj, msg in (([{"type": "any", "m": 7}], "any takes no key 'm'"),
+                     ([{"type": "campana", "m": 2, "values": [5]}], "campana takes no key"),
+                     ([[2]], r"a condition must be a JSON object, got \[2\]"),
+                     ({"type": "custom", "vectors": [[0]], "values": []}, "custom takes no key"),
+                     ({"type": "weak_campana", "m": [2], "vectors": []}, "weak_campana takes no"),
+                     (5, "unrecognized multiplicity set: 5")):
+        with pytest.raises(ValueError, match=msg):
+            conditions_from_json(obj)
