@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error
-(including a fan JSON that fails fan_validate), 3 computational defect (scan
-cap, non-principal pullback, a factorization past its rho budget, a failed
-internal assertion, an arithmetic error or exhausted memory).
+Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error (a fan
+failing fan_validate included: ToricPair, and validate first, check it), 3
+computational defect (scan cap, non-principal pullback, a factorization past
+its rho budget, a failed internal assertion, an arithmetic error or exhausted memory).
 """
 from __future__ import annotations
 
@@ -35,33 +35,30 @@ from .decide import (
     invariants_of,
     pi1_root_stack,
 )
-from .fan import (Fan, NotPrincipalError, fan_validate, hirzebruch, product, projective_space,
+from .fan import (Fan, NotPrincipalError, check_fan, hirzebruch, product, projective_space,
                   weighted_P11r)
 from .fields import FieldDescriptor, field_from_json, rho_of
 from .points import (CoxPoint, FactorizationError, ScanCapExhausted, is_m_point,
                      is_prime)
-from .intlat import INF
+from .intlat import INF, json_object, json_value
 
 
-class InputError(ValueError):
-    pass
-
-
-def _load_json_arg(arg: str):
-    """Accept either inline JSON or a path to a JSON file."""
+def _read_json(arg: str, read, what: str):
+    """read(the JSON of arg, inline or a file path), or ValueError "cannot read <what>: ..."."""
     s = arg.strip()
-    if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
-    with open(arg) as fh:
-        return json.load(fh)
+    try:
+        if s.startswith("{") or s.startswith("["):
+            return read(json.loads(s))
+        with open(arg) as fh:
+            return read(json.load(fh))
+    # TypeError: Fan.make's integer check; ArithmeticError: a coordinate "1/0"
+    except (OSError, ValueError, TypeError, ArithmeticError) as e:
+        raise ValueError(f"cannot read {what}: {e}")
 
 
 def parse_fan(arg: str) -> Fan:
-    """A builtin shorthand (p1, p2, p1xp1, hirzebruch:2, p11r:3) or JSON.
-
-    A fan given as JSON must pass fan_validate; builtins are valid by
-    construction.
-    """
+    """A builtin shorthand (p1, p2, p1xp1, hirzebruch:2, p11r:3) or JSON, not yet
+    validated: ToricPair checks the fan, and validate before any conditions."""
     s = arg.strip().lower()
     if s.startswith("p1xp1"):
         return product(projective_space(1), projective_space(1))
@@ -71,14 +68,7 @@ def parse_fan(arg: str) -> Fan:
         return weighted_P11r(int(s.split(":")[1]))
     if len(s) >= 2 and s[0] == "p" and s[1:].isdigit():
         return projective_space(int(s[1:]))
-    try:
-        fan = Fan.from_json_obj(_load_json_arg(arg))
-        diags = fan_validate(fan)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise InputError(f"cannot read fan from {arg!r}: {e}")
-    if diags:
-        raise InputError("invalid fan: " + "; ".join(diags))
-    return fan
+    return _read_json(arg, Fan.from_json_obj, f"fan from {arg!r}")
 
 
 def _parse_mult(token: str):
@@ -91,29 +81,14 @@ def parse_conditions(args) -> MultiplicitySet:
     if args.campana:
         return campana([_parse_mult(t) for t in args.campana.split(",")])
     if args.cond:
-        try:
-            return conditions_from_json(_load_json_arg(args.cond))
-        except (OSError, ValueError, TypeError, AttributeError) as e:
-            raise InputError(f"cannot read conditions: {e}")
-    raise InputError("supply --cond, --darmon or --campana")
+        return _read_json(args.cond, conditions_from_json, "conditions")
+    raise ValueError("supply --cond, --darmon or --campana")
 
 
 def parse_field(arg) -> FieldDescriptor:
     if arg is None or arg.strip().lower() in ("q", "number_field"):
         return FieldDescriptor.number_field()
-    try:
-        return field_from_json(_load_json_arg(arg))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-        raise InputError(f"cannot read field descriptor: {e}")
-
-
-def parse_point(fan: Fan, arg: str) -> CoxPoint:
-    """A point {"coords": [...]} given as JSON (inline or path)."""
-    obj = _load_json_arg(arg)
-    try:
-        return CoxPoint.from_json(fan, obj)
-    except (TypeError, AttributeError, ArithmeticError) as e:
-        raise InputError(f"cannot read point: {e}")
+    return _read_json(arg, field_from_json, "field descriptor")
 
 
 def parse_targets(fan: Fan, arg: str) -> dict:
@@ -121,15 +96,15 @@ def parse_targets(fan: Fan, arg: str) -> dict:
 
     k is passed on as given: m_point_approximate rejects anything but an
     integer >= 1."""
-    raw = _load_json_arg(arg)
-    try:
-        targets = {int(p): (CoxPoint.from_json(fan, spec["point"]), spec.get("digits", 1))
-                   for p, spec in raw.items()}
-    except (TypeError, AttributeError, ArithmeticError) as e:
-        raise InputError(f"cannot read targets: {e}")
+    def read(raw):
+        return {int(p): (CoxPoint.from_json(fan, json_value(spec, "point", "a target")),
+                         json_value(spec, "digits", "a target", default=1))
+                for p, spec in json_object(raw, "the targets").items()}
+
+    targets = _read_json(arg, read, "targets")
     for p in targets:
         if not is_prime(p):
-            raise InputError(f"target keys must be primes, got {p}")
+            raise ValueError(f"target keys must be primes, got {p}")
     return targets
 
 
@@ -149,6 +124,7 @@ def _pair(args) -> ToricPair:
 
 def cmd_validate(args) -> int:
     fan = parse_fan(args.fan)
+    check_fan(fan)
     given = bool(args.cond or args.darmon or args.campana)
     if given:
         ToricPair(fan, parse_conditions(args))  # arity check
@@ -224,11 +200,11 @@ def cmd_pi1(args) -> int:
 
 def cmd_check_point(args) -> int:
     pair = _pair(args)
-    P = parse_point(pair.fan, args.point)
+    P = _read_json(args.point, lambda obj: CoxPoint.from_json(pair.fan, obj), "point")
     excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
     for p in excluded:
         if not is_prime(p):
-            raise InputError(f"excluded primes must be primes, got {p}")
+            raise ValueError(f"excluded primes must be primes, got {p}")
     w = is_m_point(pair, P, excluded_primes=excluded)
     if args.json:
         print(json.dumps({"is_m_point": w.ok, "prime": w.prime,
@@ -292,15 +268,15 @@ def example_catalog(name: str, params: dict):
     def mults(default, count, finite=True):
         m = tuple(params.get("m", default))
         if len(m) != count:
-            raise InputError(f"example {name} needs {count} multiplicities, got {len(m)}")
+            raise ValueError(f"example {name} needs {count} multiplicities, got {len(m)}")
         if finite and INF in m:
-            raise InputError(f"example {name} needs finite multiplicities")
+            raise ValueError(f"example {name} needs finite multiplicities")
         return m
 
     if name == "pn-darmon":
         n = int(params.get("n", 3))
         if n < 2:
-            raise InputError(f"example pn-darmon needs n >= 2, got {n}")
+            raise ValueError(f"example pn-darmon needs n >= 2, got {n}")
         m = mults((2, 3, 5), n, finite=False)
         fan = projective_space(n - 1)
         expected = darmon_projective_closed_form(n, m, rho_of(Q), True).holds
@@ -322,11 +298,11 @@ def example_catalog(name: str, params: dict):
     if name == "affine-space":
         d = int(params.get("d", 2))
         if d < 1:
-            raise InputError(f"example affine-space needs d >= 1, got {d}")
+            raise ValueError(f"example affine-space needs d >= 1, got {d}")
         fan = projective_space(d)
         pair = integral_any_pair(fan, [d])  # remove one hyperplane
         return fan, pair.conditions, Q, Holds.YES
-    raise InputError(f"unknown example {name!r}; choose from pn-darmon, "
+    raise ValueError(f"unknown example {name!r}; choose from pn-darmon, "
                      "hirzebruch, p11r, affine-space")
 
 

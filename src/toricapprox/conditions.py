@@ -14,11 +14,14 @@ from enum import Enum
 from itertools import product as _iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, RefinementMap, inverse_image_coefficients, is_complete, is_smooth
+from .fan import Fan, RefinementMap, check_fan, inverse_image_coefficients, is_complete, is_smooth
 from .intlat import (
     INF,
     QuotientStructure,
     cone_is_full,
+    json_mult,
+    json_object,
+    json_value,
     lattice_from_generators,
     quotient_invariants,
 )
@@ -199,6 +202,7 @@ class ToricPair(namedtuple("ToricPair", "fan conditions")):
     __slots__ = ()
 
     def __new__(cls, fan: Fan, conditions: MultiplicitySet):
+        check_fan(fan)
         if conditions.arity() != len(fan.rays):
             raise ValueError("multiplicity set arity must equal the number of rays")
         return super().__new__(cls, fan, conditions)
@@ -225,47 +229,33 @@ class PairInvariants(NamedTuple):
         }
 
 
-def _m_from_json(x):
-    if x == "inf":
-        return INF
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ValueError(f"multiplicity must be an integer or 'inf', got {x!r}")
-
-
-def _only_keys(obj: dict, *keys) -> dict:
-    """obj, refused if it carries a key other than "type" and keys."""
-    extra = [k for k in obj if k != "type" and k not in keys]
-    if extra:
-        raise ValueError(f"{obj['type']} takes no key {extra[0]!r}")
-    return obj
-
-
-def condition_from_json(obj: dict) -> DivisorCondition:
+def condition_from_json(obj) -> DivisorCondition:
     """Parse one divisor condition, e.g. {"type": "campana", "m": 2}."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a condition must be a JSON object, got {obj!r}")
-    kind = Kind(obj["type"])
+    kind = Kind(json_value(obj, "type", "a condition"))
+    what = f"a {kind.value} condition"
     if kind in _PARAMETRIC:
-        return DivisorCondition(kind, _m_from_json(_only_keys(obj, "m")["m"]))
-    if kind is Kind.FINITE_SET:
-        _only_keys(obj, "values", "allow_infinity")
-        return DivisorCondition(kind, values=tuple(obj["values"]),
-                                allow_infinity=obj.get("allow_infinity", False))
-    _only_keys(obj)
-    return DivisorCondition(kind)
+        json_object(obj, kind.value, "type", "m")
+        return DivisorCondition(kind, json_mult(json_value(obj, "m", what)))
+    if kind is not Kind.FINITE_SET:
+        json_object(obj, kind.value, "type")
+        return DivisorCondition(kind)
+    json_object(obj, kind.value, "type", "values", "allow_infinity")
+    return DivisorCondition(kind, values=tuple(json_value(obj, "values", what, list)),
+                            allow_infinity=json_value(obj, "allow_infinity", what, default=False))
 
 
 def conditions_from_json(obj) -> MultiplicitySet:
     """Parse a multiplicity set: a per-ray condition list, or a variant object."""
     if isinstance(obj, list):
         return MultiplicitySet.of([condition_from_json(o) for o in obj])
-    variant = obj.get("type") if isinstance(obj, dict) else None
+    variant = json_value(obj, "type", "a multiplicity set") if isinstance(obj, dict) else None
+    what = f"a {variant} multiplicity set"
     if variant == "custom":
-        return MultiplicitySet.custom(
-            [[_m_from_json(x) for x in v] for v in _only_keys(obj, "vectors")["vectors"]])
+        vectors = json_value(json_object(obj, variant, "type", "vectors"), "vectors", what, list)
+        return MultiplicitySet.custom([[json_mult(x) for x in v] for v in vectors])
     if variant == "weak_campana":
-        return MultiplicitySet.weak_campana([_m_from_json(x) for x in _only_keys(obj, "m")["m"]])
+        m = json_value(json_object(obj, variant, "type", "m"), "m", what, list)
+        return MultiplicitySet.weak_campana([json_mult(x) for x in m])
     raise ValueError(f"unrecognized multiplicity set: {obj!r}")
 
 

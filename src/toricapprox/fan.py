@@ -17,6 +17,7 @@ from .intlat import (
     _lp_feasible,
     cone_coords,
     cone_inverse,
+    json_value,
     lattice_from_generators,
 )
 
@@ -42,7 +43,7 @@ class Fan(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj) -> "Fan":
-        return cls.make(obj["dim"], obj["rays"], obj["max_cones"])
+        return cls.make(*(json_value(obj, key, "a fan") for key in ("dim", "rays", "max_cones")))
 
 
 class RefinementMap(NamedTuple):
@@ -114,6 +115,13 @@ def fan_validate(f: Fan) -> list:
         if not _cones_are_faces(f, ca, cb):
             diags.append(f"cones {ca} and {cb} do not intersect in a common face")
     return diags
+
+
+@lru_cache(maxsize=256)
+def check_fan(f: Fan) -> None:
+    """ValueError naming each fan_validate diagnostic of f; cached, so a fan is checked once."""
+    if diags := fan_validate(f):
+        raise ValueError("invalid fan: " + "; ".join(diags))
 
 
 def is_smooth(f: Fan) -> bool:

@@ -10,6 +10,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from .intlat import json_value
 from .points import FactorizationError, factorize, is_prime
 
 
@@ -231,22 +232,15 @@ def default_flags(fd: FieldDescriptor, excluded_place_count: Optional[int] = Non
                       unit_quotient_finite=units, notes=tuple(notes))
 
 
-def _typed(obj: dict, key: str, kind: type, default=None):
-    """obj[key], or default when absent; a value of another type is refused, not coerced."""
-    x = obj.get(key, default)
-    if key in obj and type(x) is not kind:
-        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {x!r}")
-    return x
-
-
-def field_from_json(obj: dict) -> FieldDescriptor:
+def field_from_json(obj) -> FieldDescriptor:
     """Parse {"kind": "number_field"} | {"kind": "function_field", "base": ..., ...}."""
-    kind = FieldKind(obj["kind"])
+    kind = FieldKind(json_value(obj, "kind", "a field descriptor"))
+    what = f"a {kind.value} descriptor"
     if kind is FieldKind.NUMBER_FIELD:
         return FieldDescriptor.number_field()
     if kind is FieldKind.GLOBAL_FUNCTION_FIELD:
-        return FieldDescriptor.global_function_field(_typed(obj, "q", int))
+        return FieldDescriptor.global_function_field(json_value(obj, "q", what, int, default=None))
     return FieldDescriptor.function_field(
-        BaseClass(obj["base"]), _typed(obj, "char", int, 0),
-        curve_has_real_point=_typed(obj, "curve_has_real_point", bool),
-        closed_primes=obj.get("closed_primes"))
+        BaseClass(json_value(obj, "base", what)), json_value(obj, "char", what, int, default=0),
+        curve_has_real_point=json_value(obj, "curve_has_real_point", what, bool, default=None),
+        closed_primes=json_value(obj, "closed_primes", what, list, default=None))

@@ -16,6 +16,36 @@ from typing import NamedTuple, Optional, Sequence
 INF = math.inf
 
 
+def json_typed(x, name: str, *kinds):
+    """x, refused unless its type is one of kinds exactly (if any): 1.5 or true is no int.
+    Each json_* reader raises a ValueError that names the key or the object."""
+    if kinds and type(x) not in kinds:
+        names = " or ".join("object" if k is dict else k.__name__ for k in kinds)
+        raise ValueError(f"{name} must be a JSON {names}, got {x!r}")
+    return x
+
+
+def json_object(obj, what: str, *keys) -> dict:
+    """obj, refused unless it is a JSON object with no key outside keys (if any are given)."""
+    if extra := [k for k in json_typed(obj, what, dict) if keys and k not in keys]:
+        raise ValueError(f"{what} takes no key {extra[0]!r}")
+    return obj
+
+
+def json_value(obj, key: str, what: str, *kinds, default=KeyError):
+    """obj[key] read by json_typed, or default when absent; refused if no default is given."""
+    if key not in json_object(obj, what) and default is KeyError:
+        raise ValueError(f"missing key {key!r} in {what}")
+    return json_typed(obj[key], key, *kinds) if key in obj else default
+
+
+def json_mult(x):
+    """A multiplicity: a JSON int, or "inf" for infinity."""
+    if x != "inf" and type(x) is not int:
+        raise ValueError(f"multiplicity must be an integer or 'inf', got {x!r}")
+    return INF if x == "inf" else x
+
+
 class SmithDecomposition(NamedTuple):
     """U A V = S with U, V unimodular and S in Smith normal form."""
 

@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, is_complete, is_smooth, max_cone_coords
-from .intlat import INF
+from .intlat import INF, json_typed, json_value
 from .conditions import ToricPair, _phi
 
 
@@ -247,8 +247,10 @@ class CoxPoint(NamedTuple):
         return cls(fan, cs)
 
     @classmethod
-    def from_json(cls, fan: Fan, obj: dict) -> "CoxPoint":
-        return cls.make(fan, [Fraction(s) for s in obj["coords"]])
+    def from_json(cls, fan: Fan, obj) -> "CoxPoint":
+        """{"coords": [...]}, each coordinate a JSON int or a string such as "-4/9"."""
+        return cls.make(fan, [Fraction(json_typed(c, "coords", int, str))
+                              for c in json_value(obj, "coords", "a point", list)])
 
     def to_json(self) -> dict:
         return {"coords": [str(c) for c in self.coords]}

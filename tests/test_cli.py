@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -417,11 +418,18 @@ def _fan_json(dim=2, rays=([1, 0], [0, 1], [-1, -1]), cones=([0, 1], [1, 2], [0,
         '[{"type": "finite_set", "values": [2], "allow_infinity": %s}, {"type": "any"}]' % flag],
        f"cannot read conditions: allow_infinity must be true or false, got {got}")
       for flag, got in (('"no"', "'no'"), ("null", "None"), ("1", "1"), ("0", "0"))],
+    # a coordinate is a JSON integer or string: 0.1 is no binary fraction, true no 1
+    *[(["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+        json.dumps({"coords": [c, 2, 3]})],
+       f"cannot read point: coords must be a JSON int or str, got {c!r}") for c in (0.1, True)],
+    *[(["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+        json.dumps({"2": {"point": {"coords": ["1", c, "5"]}}})],
+       f"cannot read targets: coords must be a JSON int or str, got {c!r}") for c in (0.1, True)],
 ])
 def test_json_fields_are_not_coerced(capsys, argv, msg):
-    """A fan, field or condition given as JSON takes integers and booleans as
-    they are: a float, string, null or bool in their place exits 2 rather
-    than being truncated or read for its truth value."""
+    """A fan, field, condition or point given as JSON takes integers and
+    booleans as they are: a float, string, null or bool in their place exits
+    2 rather than being truncated or read for its truth value."""
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "") and err.startswith("input error: ") and err.endswith(msg + "\n")
 
@@ -444,6 +452,43 @@ def test_json_conditions_take_only_their_own_keys(capsys, cond, msg):
     2 rather than being dropped."""
     rc, out, err = run(capsys, "analyze", "--fan", "p2", "--cond", json.dumps(cond))
     assert (rc, out, err) == (2, "", f"input error: cannot read conditions: {msg}\n")
+
+
+_NO_DIM_FAN = '{"rays": [[1], [-1]], "max_cones": [[0], [1]]}'
+
+
+@pytest.mark.parametrize("argv, msg", [
+    *[(["analyze", "--fan", "p1", "--cond", json.dumps([{"type": kind}, {"type": "any"}])],
+       f"cannot read conditions: missing key {key!r} in a {kind} condition")
+      for kind, key in (("campana", "m"), ("darmon", "m"), ("strict_darmon", "m"),
+                        ("finite_set", "values"))],
+    (["analyze", "--fan", "p1", "--cond", '[{"m": 2}, {"type": "any"}]'],
+     "cannot read conditions: missing key 'type' in a condition"),
+    (["analyze", "--fan", "p1", "--cond", '{"vectors": [[0, 0]]}'],
+     "cannot read conditions: missing key 'type' in a multiplicity set"),
+    (["analyze", "--fan", "p1", "--cond", '{"type": "custom"}'],
+     "cannot read conditions: missing key 'vectors' in a custom multiplicity set"),
+    (["analyze", "--fan", "p1", "--cond", '{"type": "weak_campana"}'],
+     "cannot read conditions: missing key 'm' in a weak_campana multiplicity set"),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--field", "{}"],
+     "cannot read field descriptor: missing key 'kind' in a field descriptor"),
+    (["decide", "m-approx", "--fan", "p1", "--darmon", "2,2", "--field",
+      '{"kind": "function_field", "char": 0}'],
+     "cannot read field descriptor: missing key 'base' in a function_field descriptor"),
+    (["check-point", "--fan", "p1", "--darmon", "2,2", "--point", '{"coord": ["1", "2"]}'],
+     "cannot read point: missing key 'coords' in a point"),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets", '{"7": {"digits": 2}}'],
+     "cannot read targets: missing key 'point' in a target"),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets", '{"7": {"point": {}}}'],
+     "cannot read targets: missing key 'coords' in a point"),
+    (["validate", "--fan", _NO_DIM_FAN],
+     f"cannot read fan from {_NO_DIM_FAN!r}: missing key 'dim' in a fan"),
+])
+def test_a_missing_json_key_is_named_with_its_object(capsys, argv, msg):
+    """A JSON object without a key it needs exits 2 with a message naming
+    the key and the object, never a bare quoted key."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"input error: {msg}\n")
 
 
 # each: the help, version or usage error that the parser of the command argv
@@ -643,6 +688,9 @@ def _malformed_argv(draw):
     return argv + [flag for flag in flags if draw(st.booleans())]
 
 
+_BARE_KEY = re.compile(r"input error: (cannot read (fan from '[^']*'|[a-z ]+): )?'\w*'\n")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_malformed_argv())
 def test_cli_contract_on_malformed_inputs(argv):
@@ -653,6 +701,8 @@ def test_cli_contract_on_malformed_inputs(argv):
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    # a missing key is named with its object, never printed as a bare 'key'
+    assert not _BARE_KEY.fullmatch(err.getvalue()), (argv, err.getvalue())
     if rc == 1:
         assert "--assert" in argv, (argv, out.getvalue())
         assert ": NO" in out.getvalue() or "M-point: no" in out.getvalue(), argv

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -189,13 +190,23 @@ def test_verdict_json_shape():
     assert obj["invariants"]["index"] == 1
 
 
+@pytest.mark.parametrize("rays, diag", [
+    ([(1, 0), (0, 1), (-1, -1), (1, 1)], "ray 3 lies in no maximal cone"),
+    ([(3, 0), (0, 1), (-1, -1)], "non-primitive ray 0: (3, 0)"),
+])
+def test_a_pair_refuses_a_fan_that_fan_validate_flags(rays, diag):
+    """A stray ray once got a NO with index 4, and a non-primitive ray an
+    error about the refinement.  The fan is checked before the arity, which
+    three conditions on the four-ray fan would fail."""
+    fan = Fan.make(2, rays, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="^invalid fan: " + re.escape(diag) + "$"):
+        ToricPair(fan, darmon([2, 2, 2]))
+
+
 def test_a_maximal_cone_listed_twice_is_not_complete():
-    """The quadrant listed twice pairs each of its walls with itself; a pair on
-    it gets no verdict, as fan_validate rejects it at the CLI."""
+    """The quadrant listed twice pairs each of its walls with itself; no pair
+    is built on it, through the API as at the CLI."""
     twice = Fan.make(2, [(1, 0), (0, 1)], [(0, 1), (1, 0)])
     assert not is_complete(twice)
-    pair = ToricPair(twice, darmon([1, 1]))
-    with pytest.raises(ValueError, match="complete fan"):
-        invariants_of(pair)
-    with pytest.raises(ValueError, match="complete fan"):
-        decide_m_approx(pair, Q, T_nonempty=False)
+    with pytest.raises(ValueError, match=r"^invalid fan: cone \(0, 1\) is listed twice$"):
+        ToricPair(twice, darmon([1, 1]))
