@@ -51,9 +51,22 @@ def _read_json(arg: str, read, what: str):
             return read(json.loads(s))
         with open(arg) as fh:
             return read(json.load(fh))
-    # TypeError: Fan.make's integer check; ArithmeticError: a coordinate "1/0"
-    except (OSError, ValueError, TypeError, ArithmeticError) as e:
+    # TypeError: Fan.make's integer check
+    except (OSError, ValueError, TypeError) as e:
         raise ValueError(f"cannot read {what}: {e}")
+
+
+def _ints(flag: str, text: str, inf: bool = False, one: bool = False):
+    """text as a comma list of integers ("inf" and "oo" too, with inf), or with
+    one as a single integer; a ValueError names flag and what it takes."""
+    try:
+        out = [INF if inf and t in ("inf", "oo") else int(t) for t in text.split(",")]
+        if one:
+            (out,) = out
+        return out
+    except ValueError:
+        takes = "an integer" if one else "a comma list of integers" + (" or inf" if inf else "")
+        raise ValueError(f"{flag} takes {takes}, got {text!r}") from None
 
 
 def parse_fan(arg: str) -> Fan:
@@ -62,24 +75,20 @@ def parse_fan(arg: str) -> Fan:
     s = arg.strip().lower()
     if s.startswith("p1xp1"):
         return product(projective_space(1), projective_space(1))
-    if s.startswith("hirzebruch:") or s.startswith("h:"):
-        return hirzebruch(int(s.split(":")[1]))
-    if s.startswith("p11r:"):
-        return weighted_P11r(int(s.split(":")[1]))
+    head, colon, r = s.partition(":")
+    if colon and head in ("hirzebruch", "h", "p11r"):
+        r = _ints(f"--fan {head}:<r>", r, one=True)
+        return weighted_P11r(r) if head == "p11r" else hirzebruch(r)
     if len(s) >= 2 and s[0] == "p" and s[1:].isdigit():
         return projective_space(int(s[1:]))
     return _read_json(arg, Fan.from_json_obj, f"fan from {arg!r}")
 
 
-def _parse_mult(token: str):
-    return INF if token in ("inf", "oo") else int(token)
-
-
 def parse_conditions(args) -> MultiplicitySet:
     if args.darmon:
-        return darmon([_parse_mult(t) for t in args.darmon.split(",")])
+        return darmon(_ints("--darmon", args.darmon, inf=True))
     if args.campana:
-        return campana([_parse_mult(t) for t in args.campana.split(",")])
+        return campana(_ints("--campana", args.campana, inf=True))
     if args.cond:
         return _read_json(args.cond, conditions_from_json, "conditions")
     raise ValueError("supply --cond, --darmon or --campana")
@@ -149,7 +158,7 @@ def cmd_decide(args) -> int:
     fan = parse_fan(args.fan)
     field = parse_field(args.field)
     if args.what == "strong-approx":
-        removed = [int(x) for x in args.removed.split(",")] if args.removed else []
+        removed = _ints("--removed", args.removed) if args.removed else []
         return _emit_verdict(decide_strong_approx(fan, removed, field, not args.everywhere),
                              args)
     pair = ToricPair(fan, parse_conditions(args))
@@ -183,7 +192,7 @@ def cmd_decide(args) -> int:
 
 def cmd_pi1(args) -> int:
     fan = parse_fan(args.fan)
-    ms = darmon([_parse_mult(t) for t in args.m.split(",")])
+    ms = darmon(_ints("--m", args.m, inf=True))
     res = pi1_root_stack(ToricPair(fan, ms), char=args.char)
     q = res.quotient
     obj = {"invariant_factors": list(q.invariant_factors),
@@ -201,7 +210,7 @@ def cmd_pi1(args) -> int:
 def cmd_check_point(args) -> int:
     pair = _pair(args)
     P = _read_json(args.point, lambda obj: CoxPoint.from_json(pair.fan, obj), "point")
-    excluded = [int(x) for x in args.exclude.split(",")] if args.exclude else []
+    excluded = _ints("--exclude", args.exclude) if args.exclude else []
     for p in excluded:
         if not is_prime(p):
             raise ValueError(f"excluded primes must be primes, got {p}")
@@ -309,7 +318,7 @@ def example_catalog(name: str, params: dict):
 def cmd_example(args) -> int:
     params = {k: v for k, v in vars(args).items() if k in ("n", "r", "m", "d") and v is not None}
     if "m" in params:
-        params["m"] = tuple(_parse_mult(t) for t in params["m"].split(","))
+        params["m"] = tuple(_ints("--m", params["m"], inf=True))
     fan, ms, field, expected = example_catalog(args.name, params)
     pair = ToricPair(fan, ms)
     v = decide_m_approx(pair, field, True)

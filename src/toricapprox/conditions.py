@@ -38,8 +38,6 @@ class Kind(Enum):
 
 
 _PARAMETRIC = {Kind.CAMPANA, Kind.DARMON, Kind.STRICT_DARMON}
-# kinds whose pullback generators nm_singular builds exactly
-_EXACT_KINDS = {Kind.ANY, Kind.INTEGRAL} | _PARAMETRIC
 
 
 def _is_natural(x, least: int = 0) -> bool:
@@ -333,38 +331,20 @@ def _invariants_from_gens(pair: ToricPair, gens, notes=(), known_full=False) -> 
 
 
 def pulled_back_set(ms: MultiplicitySet, coeffs: Sequence[Sequence[int]]):
-    """Membership test for the pullback multiplicity set f* M.
-
-    coeffs[alpha][beta] is the multiplicity of the source divisor beta in the
-    inverse image of the target divisor alpha.
-    """
-    def admits_vec(wprime):
-        img = []
-        for row in coeffs:
-            tot = 0
-            for c, x in zip(row, wprime):
-                if c and x == INF:
-                    tot = INF
-                    break
-                tot += c * x
-            img.append(tot)
-        return ms.admits_vector(img)
-
-    return admits_vec
+    """Membership test for the finite vectors of the pullback multiplicity set
+    f* M; coeffs[alpha][beta] is the multiplicity of the source divisor beta in
+    the inverse image of the target divisor alpha."""
+    return lambda w: ms.admits_vector([sum(c * x for c, x in zip(row, w)) for row in coeffs])
 
 
 def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
     """Invariants of the pair pulled back along a smooth refinement.
 
-    For a PRODUCT of ANY, INTEGRAL, CAMPANA, DARMON and STRICT_DARMON
-    conditions the generators of N_{f*M} are built exactly, one congruence
-    lattice per source cone, and for WEAK_CAMPANA they are read from the
-    pulled-back weights.  Other multiplicity sets are enumerated over
-    cone-supported vectors with entries <= W (W recorded in the notes).
-
-    The exact construction holds K rho_beta, K >= 1, for every ray beta of
-    each S_tau.  When the S_tau cover the rays of a complete source fan,
-    cone(N_M^+) holds the cone on all of them, which is N_R, and no LP runs.
+    The generators of N_{f*M} are exact: for WEAK_CAMPANA read from the
+    pulled-back weights, for PRODUCT and CUSTOM sets built per source cone by
+    _pullback_generators, which holds K rho_beta, K >= 1, for each beta in
+    each U_tau.  When the U_tau cover the rays of a complete source fan,
+    cone(N_M^+) is N_R and no LP runs.
     """
     fan0 = pair.fan
     src = refinement.source
@@ -375,58 +355,86 @@ def nm_singular(pair: ToricPair, refinement: RefinementMap) -> PairInvariants:
 
     ms = pair.conditions
     full = False
-    if ms.variant is Variant.PRODUCT and all(c.kind in _EXACT_KINDS for c in ms.conditions):
-        gens, covered = _exact_pullback_generators(src, ms.conditions, coeffs)
-        full = len(covered) == len(src.rays) and is_complete(src)
-        note = "pullback generators: exact congruence lattice per source cone"
-    elif ms.variant is Variant.WEAK_CAMPANA:
+    if ms.variant is Variant.WEAK_CAMPANA:
         gens = _weak_campana_generators(src, ms.weak_m, coeffs)
         note = "pullback generators: exact, rays of the source cones the weights reach"
     else:
-        W = _box_bound(ms, coeffs)
-        gens = _box_generators(src, pulled_back_set(ms, coeffs), W)
-        note = f"pullback enumeration bound W={W}"
+        gens, covered = _pullback_generators(src, ms, coeffs)
+        full = len(covered) == len(src.rays) and is_complete(src)
+        note = "pullback generators: exact, a congruence lattice and a proven box per source cone"
     return _invariants_from_gens(pair, gens, notes=(note,), known_full=full)
 
 
-def _exact_pullback_generators(src: Fan, conds, coeffs) -> tuple:
+def _pullback_generators(src: Fan, ms: MultiplicitySet, coeffs) -> tuple:
     """phi of admissible vectors generating N_{f*M} as a lattice and cone(N^+),
-    and the rays that lie in some S_tau.
+    for a PRODUCT or CUSTOM set, and the rays that lie in some U_tau.
 
-    On a source cone tau only the rays in S_tau (those hitting no row that
-    forbids positive finite values) may be nonzero.  The admissible vectors on
-    S_tau are the lattice L_tau cut out by the Darmon congruences, less those
-    below a Campana bound.  K e_beta and K 1_S + b, for b in a basis of L_tau,
-    are admissible (K is a multiple of every Darmon m, and K - max|b| is at
-    least every finite Campana m); they generate L_tau and span the orthant.
+    A row alpha is bounded when its finite admissible values are (every CUSTOM
+    row; a PRODUCT row unless finite_part_unbounded), t_a the largest.  On a
+    source cone tau, B is the rays that some bounded row hits (c_ab > 0), U
+    the rest.  As c_ab w_b <= t_a, w_b <= min floor(t_a / c_ab) on B.
+
+    w_B = 0: only unbounded rows see U.  The admissible vectors on U are the
+    lattice L_tau cut out by the Darmon congruences, less those below a
+    Campana bound.  K e_b and K 1_U + b, for b in a basis of L_tau, are
+    admissible (K is a multiple of every Darmon m, and K - max|b| is at least
+    every finite Campana m); they generate L_tau and span the orthant.
+
+    w_B != 0: keep the admissible w with w_B in that box and w_U in
+    [0, K' + c)^U, for c the largest finite Campana m and K' the least
+    multiple of L, the lcm of the Darmon m > 1 on rows hitting U, with
+    K' >= max(c, 1).  If w_b >= K' + c for b in U, w - K' e_b is admissible:
+    no bounded row sees b, a Darmon total drops by a multiple of its m, and a
+    Campana total that sees b stays >= c_ab (w_b - K') >= c.  K' e_b is
+    admissible with w_B = 0, so it lies in L_tau and on the ray of K e_b.  So
+    an admissible w with w_B != 0 is a kept vector plus nonnegative multiples
+    of the K' e_b: the two families generate the lattice and the cone
+    exactly, in any dimension.
     """
-    camp = max((c.m for c in conds if c.kind is Kind.CAMPANA and c.m != INF), default=0)
-    congr = [(row, c.m) for row, c in zip(coeffs, conds)
-             if c.kind in (Kind.DARMON, Kind.STRICT_DARMON) and c.m != INF and c.m > 1]
+    if ms.variant is Variant.PRODUCT:
+        conds = ms.conditions
+        tops = [None if c.finite_part_unbounded() else max(c.finite_slice(), default=0)
+                for c in conds]
+        camp = max((c.m for c in conds if c.kind is Kind.CAMPANA and c.m != INF), default=0)
+        congr = [(row, c.m) for row, c in zip(coeffs, conds)
+                 if c.kind in (Kind.DARMON, Kind.STRICT_DARMON) and c.m != INF and c.m > 1]
+    else:
+        tops = [max((x for x in col if x != INF), default=0) for col in zip(*ms.vectors)]
+        camp, congr = 0, []
+    bounded = [(row, t) for row, t in zip(coeffs, tops) if t is not None]
+    admits = pulled_back_set(ms, coeffs)
     gens, covered = set(), set()
     for tau in src.max_cones:
-        S = [b for b in tau
-             if all(cd.finite_part_unbounded() for row, cd in zip(coeffs, conds) if row[b] > 0)]
-        if not S:
-            continue
-        covered.update(S)
-        rows = [([row[b] for b in S], m) for row, m in congr if any(row[b] for b in S)]
-        r = len(rows)
-        # w is in L_tau iff (0, w) lies in the lattice spanned by the
-        # (C e_beta, e_beta) and (m_alpha e_alpha, 0); the HNF is echelon, so
-        # its basis vectors vanishing on the first r coordinates span those
-        lift = [tuple(c[k] for c, _ in rows) + tuple(int(j == k) for j in range(len(S)))
-                for k in range(len(S))]
-        lift += [tuple(m * int(j == i) for j in range(r)) + (0,) * len(S)
-                 for i, (_, m) in enumerate(rows)]
-        basis = [v[r:] for v in lattice_from_generators(lift, r + len(S)).basis
-                 if not any(v[:r])]
-        K = math.lcm(*[m for _, m in rows]) * (camp + max(abs(x) for v in basis for x in v))
-        vecs = [[K * int(j == k) for j in range(len(S))] for k in range(len(S))]
-        vecs += [[K + x for x in v] for v in basis]
-        rays = [src.rays[b] for b in S]
-        for v in vecs:
-            gens.add(tuple(sum(x * r[j] for x, r in zip(v, rays)) for j in range(src.dim)))
+        caps = {b: [t // row[b] for row, t in bounded if row[b] > 0] for b in tau}
+        box = {b: min(c) for b, c in caps.items() if c}
+        U = [b for b in tau if b not in box]
+        rows = [([row[b] for b in U], m) for row, m in congr if any(row[b] for b in U)]
+        L = math.lcm(*[m for _, m in rows])
+        if U:
+            covered.update(U)
+            r = len(rows)
+            # w is in L_tau iff (0, w) lies in the lattice spanned by the
+            # (C e_beta, e_beta) and (m_alpha e_alpha, 0); the HNF is echelon, so
+            # its basis vectors vanishing on the first r coordinates span those
+            lift = [tuple(c[k] for c, _ in rows) + tuple(int(j == k) for j in range(len(U)))
+                    for k in range(len(U))]
+            lift += [tuple(m * int(j == i) for j in range(r)) + (0,) * len(U)
+                     for i, (_, m) in enumerate(rows)]
+            basis = [v[r:] for v in lattice_from_generators(lift, r + len(U)).basis
+                     if not any(v[:r])]
+            K = L * (camp + max(abs(x) for v in basis for x in v))
+            gens.update(tuple(K * x for x in src.rays[b]) for b in U)
+            gens.update(tuple(sum((K + x) * src.rays[b][j] for x, b in zip(v, U))
+                              for j in range(src.dim)) for v in basis)
+        if any(box.values()):
+            K1 = L * -(-max(camp, 1) // L)
+            w = [0] * len(src.rays)
+            for vals in _iter_product(*[range(box[b] + 1) if b in box else range(K1 + camp)
+                                        for b in tau]):
+                for b, x in zip(tau, vals):
+                    w[b] = x
+                if any(w[b] for b in box) and admits(w):
+                    gens.add(_phi(src, w))
     return sorted(gens), covered
 
 
@@ -446,33 +454,6 @@ def _weak_campana_generators(fan: Fan, weak_m, coeffs) -> list:
     reached = {b for row, m in zip(coeffs, weak_m) if m not in (1, INF)
                for b, c in enumerate(row) if c > 0}
     return sorted({fan.rays[i] for c in fan.max_cones if reached & set(c) for i in c})
-
-
-def _box_bound(ms: MultiplicitySet, coeffs) -> int:
-    """W = lcm(finite multiplicities) * (1 + max coefficient)."""
-    finite_mults = []
-    if ms.variant is Variant.PRODUCT:
-        for cond in ms.conditions:
-            finite_mults.extend(x for x in cond.finite_slice())
-    else:
-        finite_mults.extend(x for v in ms.vectors for x in v if x not in (0, INF))
-    maxc = max((c for row in coeffs for c in row), default=0)
-    return math.lcm(*[int(x) for x in finite_mults]) * (1 + maxc) if finite_mults else (1 + maxc)
-
-
-def _box_generators(src: Fan, admits_vec, W: int) -> list:
-    """phi of the admissible vectors on each source cone with entries <= W."""
-    gens = set()
-    for c in src.max_cones:
-        for vals in _iter_product(range(W + 1), repeat=len(c)):
-            if not any(vals):
-                continue
-            w = [0] * len(src.rays)
-            for i, x in zip(c, vals):
-                w[i] = x
-            if admits_vec(w):
-                gens.add(_phi(src, w))
-    return sorted(g for g in gens if any(g))
 
 
 def mred_in_closure_of_mfin(pair: ToricPair) -> bool:

@@ -230,13 +230,14 @@ class ThinnessReport(NamedTuple):
     d_list: tuple  # divisors > 1 of the index when finite
     zariski_dense: TriBool
     reasons: tuple
-    invariants: Optional[PairInvariants] = None
+    invariants: PairInvariants  # what the classification was decided from
 
     def to_json(self) -> dict:
         return {"classification": self.classification.value,
                 "d_list": list(self.d_list),
                 "zariski_dense": self.zariski_dense.value,
-                "reasons": list(self.reasons)}
+                "reasons": list(self.reasons),
+                "invariants": self.invariants.to_json()}
 
 
 def _divisors_gt1(n: int) -> tuple:

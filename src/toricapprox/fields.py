@@ -10,7 +10,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .intlat import json_value
+from .intlat import json_typed, json_value
 from .points import FactorizationError, factorize, is_prime
 
 
@@ -240,7 +240,9 @@ def field_from_json(obj) -> FieldDescriptor:
         return FieldDescriptor.number_field()
     if kind is FieldKind.GLOBAL_FUNCTION_FIELD:
         return FieldDescriptor.global_function_field(json_value(obj, "q", what, int, default=None))
+    primes = json_value(obj, "closed_primes", what, list, default=None)
     return FieldDescriptor.function_field(
         BaseClass(json_value(obj, "base", what)), json_value(obj, "char", what, int, default=0),
         curve_has_real_point=json_value(obj, "curve_has_real_point", what, bool, default=None),
-        closed_primes=json_value(obj, "closed_primes", what, list, default=None))
+        closed_primes=None if primes is None else [json_typed(p, "closed_primes", int)
+                                                   for p in primes])

@@ -249,8 +249,13 @@ class CoxPoint(NamedTuple):
     @classmethod
     def from_json(cls, fan: Fan, obj) -> "CoxPoint":
         """{"coords": [...]}, each coordinate a JSON int or a string such as "-4/9"."""
-        return cls.make(fan, [Fraction(json_typed(c, "coords", int, str))
-                              for c in json_value(obj, "coords", "a point", list)])
+        coords = []
+        for c in json_value(obj, "coords", "a point", list):
+            try:
+                coords.append(Fraction(json_typed(c, "coords", int, str)))
+            except ZeroDivisionError:
+                raise ValueError(f"coordinate {c!r} has a zero denominator") from None
+        return cls.make(fan, coords)
 
     def to_json(self) -> dict:
         return {"coords": [str(c) for c in self.coords]}

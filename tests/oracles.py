@@ -18,14 +18,16 @@ definition and the common-face test off one primal LP; the tests check them
 against a fraction-free elimination, a Smith-form kernel basis and the dual
 separating-functional LP.  It reads N_M and the fullness of its cone off one
 generator per primitive direction; the tests check both against every
-generator as its own column.
+generator as its own column.  It builds the generators of a pulled-back pair
+exactly; the tests check them against a search of every cone-supported
+vector with entries up to an unproven bound W, and 2W.
 """
 import math
 from fractions import Fraction
 from itertools import count, product
 
 from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
-from toricapprox.conditions import _phi
+from toricapprox.conditions import Variant, _phi
 from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
 from toricapprox.fan import Fan, RefinementMap, _cone_inverses, minimal_cone_containing
 from toricapprox.intlat import (INF, _lp_feasible, cone_contains, cone_coords,
@@ -170,6 +172,38 @@ def coprime_rep_mult(p: int, P: CoxPoint) -> tuple:
 def mult_oracle(p: int, P: CoxPoint) -> tuple:
     """The multiplicity vector at p, by the oracle for the point's kind."""
     return (coprime_rep_mult if P.zero_support() else two_step_mult)(p, P)
+
+
+# ---------------------------------------------------------------------------
+# The pullback box search
+# ---------------------------------------------------------------------------
+
+def box_bound(ms, coeffs) -> int:
+    """W = lcm(finite multiplicities) * (1 + max coefficient), an unproven
+    bound on the entries of the admissible vectors that generate N_{f*M}."""
+    finite_mults = []
+    if ms.variant is Variant.PRODUCT:
+        for cond in ms.conditions:
+            finite_mults.extend(cond.finite_slice())
+    else:
+        finite_mults.extend(x for v in ms.vectors for x in v if x not in (0, INF))
+    maxc = max((c for row in coeffs for c in row), default=0)
+    return math.lcm(*finite_mults) * (1 + maxc)
+
+
+def box_generators(src: Fan, admits_vec, W: int) -> list:
+    """phi of the admissible vectors on each source cone with entries <= W."""
+    gens = set()
+    for c in src.max_cones:
+        for vals in product(range(W + 1), repeat=len(c)):
+            if not any(vals):
+                continue
+            w = [0] * len(src.rays)
+            for i, x in zip(c, vals):
+                w[i] = x
+            if admits_vec(w):
+                gens.add(_phi(src, w))
+    return sorted(g for g in gens if any(g))
 
 
 # ---------------------------------------------------------------------------

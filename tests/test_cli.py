@@ -384,6 +384,20 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
     *[(["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
         json.dumps({"2": {"point": {"coords": ["1", "3", "5"]}, "digits": k}})],
        f"digits at p=2 must be an integer >= 1, got {k!r}") for k in (-1, 0, True, 2.7)],
+    # a comma list, or a shorthand's parameter, that is not made of integers
+    (["decide", "strong-approx", "--fan", "p2", "--removed", "x"],
+     "--removed takes a comma list of integers, got 'x'"),
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+      '{"coords": ["8", "9", "1"]}', "--exclude", "y"],
+     "--exclude takes a comma list of integers, got 'y'"),
+    *[(["analyze", "--fan", "p2", flag, "2,x,2"],
+       f"{flag} takes a comma list of integers or inf, got '2,x,2'")
+      for flag in ("--darmon", "--campana")],
+    *[(argv + ["--m", "2,x,2"], "--m takes a comma list of integers or inf, got '2,x,2'")
+      for argv in (["pi1", "--fan", "p2"], ["example", "p11r"])],
+    *[(["analyze", "--fan", f"{head}:{r}", "--darmon", "2,2,2"],
+       f"--fan {head}:<r> takes an integer, got {r!r}")
+      for head in ("h", "hirzebruch", "p11r") for r in ("x", "2,3")],
 ])
 def test_out_of_range_values_exit_2(capsys, argv, msg):
     rc, out, err = run(capsys, *argv)
@@ -425,6 +439,12 @@ def _fan_json(dim=2, rays=([1, 0], [0, 1], [-1, -1]), cones=([0, 1], [1, 2], [0,
     *[(["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
         json.dumps({"2": {"point": {"coords": ["1", c, "5"]}}})],
        f"cannot read targets: coords must be a JSON int or str, got {c!r}") for c in (0.1, True)],
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point", '{"coords": ["1/0", 1, 1]}'],
+     "cannot read point: coordinate '1/0' has a zero denominator"),
+    (["decide", "m-approx", "--fan", "p2", "--darmon", "2,2,2", "--field",
+      json.dumps({"kind": "function_field", "base": "p_closed", "char": 3,
+                  "closed_primes": [[2]]})],
+     "cannot read field descriptor: closed_primes must be a JSON int, got [2]"),
 ])
 def test_json_fields_are_not_coerced(capsys, argv, msg):
     """A fan, field, condition or point given as JSON takes integers and

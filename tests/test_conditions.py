@@ -2,10 +2,9 @@ import math
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import identity_refinement, raw_invariants, stellar_subdivide
-from toricapprox import conditions as conditions_module
+from oracles import box_bound, box_generators, identity_refinement, raw_invariants, stellar_subdivide
 from toricapprox import fan as fan_module, intlat
 from toricapprox.conditions import (
     DivisorCondition,
@@ -21,8 +20,6 @@ from toricapprox.conditions import (
     pair_invariants,
     pulled_back_set,
     support_is_conical,
-    _box_bound,
-    _box_generators,
     _invariants_from_gens,
     _phi,
 )
@@ -125,13 +122,22 @@ def test_nm_singular_p112_radical(m):
     pair = ToricPair(weighted_P11r(2), darmon(list(m)))
     inv = nm_singular(pair, resolve_2d(weighted_P11r(2)))
     assert radical(inv.index) == radical(math.gcd(m[0], m[1]))
-    assert inv.notes == ("pullback generators: exact congruence lattice per source cone",)
+    assert inv.notes == (_PULLBACK_NOTE,)
 
 
-def test_nm_singular_squarefree_keeps_the_box_search():
+_PULLBACK_NOTE = "pullback generators: exact, a congruence lattice and a proven box per source cone"
+
+
+def test_nm_singular_squarefree_is_exact():
+    """Squarefree on P(1,1,2): every source ray is hit by a bounded row, so
+    the admissible vectors on each cone are the proven box's; the one note
+    names no bound."""
     ms = MultiplicitySet.of([DivisorCondition(Kind.SQUAREFREE)] * 3)
-    inv = nm_singular(ToricPair(weighted_P11r(2), ms), resolve_2d(weighted_P11r(2)))
-    assert any("W=" in note for note in inv.notes)
+    ref = resolve_2d(weighted_P11r(2))
+    inv = nm_singular(ToricPair(weighted_P11r(2), ms), ref)
+    assert inv.notes == (_PULLBACK_NOTE,)
+    coeffs = [inverse_image_coefficients(ref, a) for a in range(3)]
+    assert inv.cone_generators == tuple(box_generators(ref.source, pulled_back_set(ms, coeffs), 2))
 
 
 _REFINED = [resolve_2d(weighted_P11r(r)) for r in range(1, 6)] + \
@@ -153,14 +159,77 @@ def test_exact_pullback_matches_the_box_search(ref, data):
     pair = ToricPair(ref.target, MultiplicitySet.of(conds))
     exact = nm_singular(pair, ref)
     coeffs = [inverse_image_coefficients(ref, a) for a in range(len(conds))]
-    box = _box_generators(ref.source, pulled_back_set(pair.conditions, coeffs),
-                          _box_bound(pair.conditions, coeffs))
+    box = box_generators(ref.source, pulled_back_set(pair.conditions, coeffs),
+                         box_bound(pair.conditions, coeffs))
     n = len(ref.source.rays)
     src_pair = ToricPair(ref.source, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * n))
     oracle = _invariants_from_gens(src_pair, box)
     assert exact.index == oracle.index
     assert exact.quotient == oracle.quotient
     assert exact.cone_full == oracle.cone_full
+
+
+_P11R = [resolve_2d(weighted_P11r(r)) for r in (2, 3, 5, 7)]
+# every finite multiplicity divides 12 and every pullback coefficient is at
+# most 1, so the box oracle's 2W stays <= 48
+_ANY_CONDS = st.one_of(
+    _EXACT_CONDS,
+    st.just(DivisorCondition(Kind.SQUAREFREE)),
+    st.builds(DivisorCondition, st.just(Kind.FINITE_SET),
+              values=st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), max_size=3).map(tuple),
+              allow_infinity=st.booleans()),
+)
+_CUSTOM_SETS = st.lists(st.tuples(*[st.sampled_from([0, 1, 2, 3, 4, 6, INF])] * 3),
+                        max_size=4).map(
+    lambda vs: MultiplicitySet.custom(sorted({(0, 0, 0), *vs,
+                                              *(tuple(INF if x == INF else 0 for x in v)
+                                                for v in vs)})))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref=st.sampled_from(_P11R),
+       ms=st.one_of(st.lists(_ANY_CONDS, min_size=3, max_size=3).map(MultiplicitySet.of),
+                    _CUSTOM_SETS))
+# a bounded row and a Darmon row share the exceptional ray, which couples the
+# proven box to the congruence lattice
+@example(ref=_P11R[0], ms=MultiplicitySet.of([DivisorCondition(Kind.SQUAREFREE),
+                                              DivisorCondition(Kind.DARMON, 3),
+                                              DivisorCondition(Kind.DARMON, 2)]))
+@example(ref=_P11R[3], ms=MultiplicitySet.of([
+    DivisorCondition(Kind.FINITE_SET, values=(2, 3), allow_infinity=True),
+    DivisorCondition(Kind.DARMON, 2), DivisorCondition(Kind.CAMPANA, 3)]))
+def test_pullback_matches_the_box_search_at_w_and_2w(ref, ms):
+    """Every Kind, finite sets with and without infinity, and custom lists:
+    the exact pullback's index, quotient and cone_full are those of the box
+    search at its bound W and at 2W."""
+    inv = nm_singular(ToricPair(ref.target, ms), ref)
+    coeffs = [inverse_image_coefficients(ref, a) for a in range(3)]
+    src_pair = ToricPair(ref.source, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * 4))
+    W = box_bound(ms, coeffs)
+    for bound in (W, 2 * W):
+        box = box_generators(ref.source, pulled_back_set(ms, coeffs), bound)
+        oracle = _invariants_from_gens(src_pair, box)
+        assert (inv.index, inv.quotient, inv.cone_full) == \
+            (oracle.index, oracle.quotient, oracle.cone_full), (ms, bound)
+
+
+def test_a_bounded_pullback_checks_only_its_proven_box(monkeypatch):
+    """FINITE_SET {3, 4, 5} on every divisor of P(1,1,7) bounds every source
+    ray: 140 admissibility checks, where the box search at W = 120 made
+    58,560, and the same index and cone_full.  A Darmon pair bounds no ray
+    and checks nothing."""
+    calls = []
+    admits = MultiplicitySet.admits_vector
+    monkeypatch.setattr(MultiplicitySet, "admits_vector",
+                        lambda self, w: calls.append(w) or admits(self, w))
+    ref = resolve_2d(weighted_P11r(7))
+    ms = MultiplicitySet.of([DivisorCondition(Kind.FINITE_SET, values=(3, 4, 5))] * 3)
+    inv = nm_singular(ToricPair(ref.target, ms), ref)
+    assert len(calls) <= 200
+    assert (inv.index, inv.cone_full) == (1, True)
+    calls.clear()
+    nm_singular(ToricPair(ref.target, darmon([2, 3, 7])), ref)
+    assert calls == []
 
 
 @pytest.mark.parametrize("gens, full", [
@@ -219,9 +288,8 @@ def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):
     pair = ToricPair(weighted_P11r(3), darmon([2, 3, 7]))
     first = nm_singular(pair, resolve_2d(weighted_P11r(3)))
     calls = []
-    for mod, name in ((fan_module, "_ideal_corners"), (conditions_module, "_box_generators")):
-        fn = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    fn = fan_module._ideal_corners
+    monkeypatch.setattr(fan_module, "_ideal_corners", lambda *a: calls.append(a) or fn(*a))
     second = nm_singular(pair, resolve_2d(weighted_P11r(3)))
     assert calls == []
     assert second == first
@@ -348,7 +416,7 @@ def test_custom_generators_match_the_box_search():
                                  (INF, 0, 0), (INF, 3, 0)])
     pair = ToricPair(P2, ms)
     gens = nm_generators(pair)[0]
-    assert sorted(set(gens)) == _box_generators(P2, ms.admits_vector, 3) == [
+    assert sorted(set(gens)) == box_generators(P2, ms.admits_vector, 3) == [
         (0, 3), (2, 0), (2, 3)]
     inv = pair_invariants(pair)
     assert (inv.index, inv.cone_full) == (6, False)
@@ -364,14 +432,12 @@ def test_custom_pullback_keeps_the_custom_note():
     pair = ToricPair(weighted_P11r(2), ms)
     ref = resolve_2d(weighted_P11r(2))
     coeffs = [inverse_image_coefficients(ref, a) for a in range(3)]
-    W = _box_bound(ms, coeffs)
-    assert W == 2
-    box = _box_generators(ref.source, pulled_back_set(ms, coeffs), W)
+    box = box_generators(ref.source, pulled_back_set(ms, coeffs), 2)
     assert box == [(0, -1), (0, 1)]
     inv = nm_singular(pair, ref)
     assert inv.cone_generators == tuple(box)
     assert (inv.index, inv.cone_full) == (INF, False)
-    assert inv.notes == ("pullback enumeration bound W=2",
+    assert inv.notes == (_PULLBACK_NOTE,
                          "custom(3 vectors; the list is treated as the definition, "
                          "infinite tails are not inferred)")
 
@@ -395,7 +461,7 @@ def test_weak_campana_cone_is_full_beyond_a_small_box():
     witnesses = [(2, 0, 0), (2, 5, 0), (2, 0, 5)]
     assert all(ms.admits_vector(w) for w in witnesses)
     assert cone_is_full([_phi(P2, w) for w in witnesses], 2)
-    assert not cone_is_full(_box_generators(P2, ms.admits_vector, 3), 2)
+    assert not cone_is_full(box_generators(P2, ms.admits_vector, 3), 2)
     assert pair_invariants(ToricPair(P2, ms)).nm_plus_equals_n
 
 
@@ -411,7 +477,7 @@ def test_weak_campana_generators_against_the_box_search(ref, data):
     exact = nm_singular(pair, ref)
     coeffs = [inverse_image_coefficients(ref, a) for a in range(len(m))]
     W = max([x for x in m if x != INF], default=0) + 1
-    box = _box_generators(ref.source, pulled_back_set(pair.conditions, coeffs), W)
+    box = box_generators(ref.source, pulled_back_set(pair.conditions, coeffs), W)
     n = len(ref.source.rays)
     src_pair = ToricPair(ref.source, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * n))
     oracle = _invariants_from_gens(src_pair, box)

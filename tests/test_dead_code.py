@@ -54,14 +54,25 @@ def test_every_package_definition_has_a_caller():
     assert set(unused) >= PINNED
 
 
-def test_every_pin_is_wrapped_by_the_tracer():
-    """A pin lasts only while the tracer names it: read its WRAPPED tuple
-    from the source, without importing the benchmark."""
+def _tracer_wrapped() -> set:
+    """The tracer's WRAPPED tuple, read from its source without importing the
+    benchmark."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    wrapped = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets))
-    assert PINNED <= set(wrapped)
+    return set(next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)))
+
+
+def test_every_pin_is_wrapped_by_the_tracer():
+    """A pin lasts only while the tracer names it."""
+    assert PINNED <= _tracer_wrapped()
+
+
+def test_every_name_the_tracer_wraps_is_defined():
+    """The benchmark's own tests look up every wrapped (module, name), so a
+    deletion or rename here would break them unnoticed by these tests."""
+    defined, assigned, _ = _definitions_and_uses()
+    assert sorted(_tracer_wrapped() - set(defined) - set(assigned)) == []
 
 
 def test_every_package_constant_is_read():

@@ -43,7 +43,7 @@ RECORDS = [
     (Verdict, dict(property="m_approximation", holds=Holds.NO, reasons=("r",), invariants=INV)),
     (Pi1Result, dict(quotient=QUOT, label="full profinite completion")),
     (ThinnessReport, dict(classification=Thinness.STRICTLY_D_THIN, d_list=(2,),
-                          zariski_dense=TriBool.UNKNOWN, reasons=(), invariants=None)),
+                          zariski_dense=TriBool.UNKNOWN, reasons=(), invariants=INV)),
     (CoxPoint, dict(fan=P1, coords=(Fraction(1, 2), Fraction(0)))),
     (MPointWitness, dict(ok=False, prime=3, vector=(1, 0))),
     (LocalConstraint, dict(p=7, target=Fraction(-2, 3), k=2)),
