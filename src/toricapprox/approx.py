@@ -20,7 +20,7 @@ from itertools import count
 from typing import NamedTuple, Sequence
 
 from .conditions import ToricPair, Variant, _phi
-from .fan import is_complete, is_smooth
+from .fan import require
 from .intlat import INF, right_inverse
 from .points import (CoxPoint, MPointWitness, ScanCapExhausted, is_m_point,
                      is_squarefree, m_point_check, v_p)
@@ -123,7 +123,11 @@ def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("recombination needs per-divisor multiplicities")
-    gens = pair.conditions.single_ray_vectors()
+    # right_inverse leans on its last columns: with each ray's least weight there, a
+    # coordinate tends to be one lift's power, which factors by a root, not by rho
+    conds = pair.conditions.conditions
+    gens = tuple(sorted(pair.conditions.single_ray_vectors(),
+                        key=lambda m: max(m) == conds[m.index(max(m))].finite_slice()[0]))
     cols = [_phi(fan, m) for m in gens]
     gamma = tuple(tuple(c[j] for c in cols) for j in range(fan.dim))
     rinv = right_inverse(gamma)
@@ -241,8 +245,7 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     A certificate that still fails its check raises AssertionError.
     """
     fan = pair.fan
-    if not (is_smooth(fan) and is_complete(fan)):
-        raise ValueError("construction needs a smooth complete fan")
+    require(fan, "approximations", "smooth", "complete")
     if not targets:
         pt = CoxPoint.make(fan, [1] * len(fan.rays))
         w = is_m_point(pair, pt)

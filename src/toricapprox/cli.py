@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 mathematical NO under --assert, 2 input error (a fan
-failing fan_validate included: ToricPair, and validate first, check it), 3
+failing fan_validate, which ToricPair and validate check first, or lacking
+what the command assumes of it, which fan.require checks), 3
 computational defect (scan cap, non-principal pullback, a factorization past
 its rho budget, a failed internal assertion, an arithmetic error or exhausted memory).
 """
@@ -34,9 +35,10 @@ from .decide import (
     integral_any_pair,
     invariants_of,
     pi1_root_stack,
+    VERDICT_FAN,
 )
 from .fan import (Fan, NotPrincipalError, check_fan, hirzebruch, product, projective_space,
-                  weighted_P11r)
+                  require, weighted_P11r)
 from .fields import FieldDescriptor, field_from_json, rho_of
 from .points import (CoxPoint, FactorizationError, ScanCapExhausted, is_m_point,
                      is_prime)
@@ -183,7 +185,7 @@ def cmd_decide(args) -> int:
         inner = decide_m_approx(pair, field, True)
         v = Verdict("m_hilbert_property", inner.holds, inner.reasons, inner.invariants)
     else:
-        invariants_of(pair)  # the verdict still assumes a complete fan
+        require(fan, "verdicts", *VERDICT_FAN)
         v = Verdict("m_hilbert_property", Holds.UNKNOWN,
                     ("the equivalence with M-approximation is stated over "
                      "global fields",))

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import product as _iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, RefinementMap, check_fan, inverse_image_coefficients, is_complete, is_smooth
+from .fan import Fan, RefinementMap, check_fan, inverse_image_coefficients, is_complete, require
 from .intlat import (
     INF,
     QuotientStructure,
@@ -296,8 +296,7 @@ def nm_generators(pair: ToricPair):
 
 def pair_invariants(pair: ToricPair) -> PairInvariants:
     """Decision invariants of a toric pair on a smooth fan."""
-    if not is_smooth(pair.fan):
-        raise ValueError("fan is singular; compute invariants through nm_singular")
+    require(pair.fan, "pair invariants", "smooth")
     return _invariants_from_gens(pair, nm_generators(pair)[0])
 
 

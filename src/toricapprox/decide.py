@@ -22,7 +22,7 @@ from .conditions import (
     nm_singular,
     pair_invariants,
 )
-from .fan import Fan, is_complete, is_smooth, resolve_2d
+from .fan import Fan, is_smooth, require, resolve_2d
 from .fields import (
     FieldDescriptor,
     FieldFlags,
@@ -63,15 +63,16 @@ class Verdict(NamedTuple):
                 "reasons": list(self.reasons), "invariants": inv}
 
 
+# what every verdict assumes of its fan (fan.require)
+VERDICT_FAN = ("complete", "smooth or 2-D")
+
+
 def invariants_of(pair: ToricPair) -> PairInvariants:
     """Pair invariants of a complete fan, routing singular surfaces through
     their minimal resolution."""
-    if not is_complete(pair.fan):
-        raise ValueError("verdicts need a complete fan: the maximal cones do not cover N_R")
+    require(pair.fan, "verdicts", *VERDICT_FAN)
     if is_smooth(pair.fan):
         return pair_invariants(pair)
-    if pair.fan.dim != 2:
-        raise ValueError("singular fan of dimension > 2: only surfaces are resolved")
     return nm_singular(pair, resolve_2d(pair.fan))
 
 
@@ -168,8 +169,7 @@ def pi1_root_stack(pair: ToricPair, char: int = 0) -> Pi1Result:
     fan = pair.fan
     if char != 0 and not is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-    if not is_smooth(fan):
-        raise ValueError("root stack fundamental group requires a smooth fan")
+    require(fan, "root stack fundamental groups", "smooth")
     ms = pair.conditions
     if ms.variant is not Variant.PRODUCT:
         raise ValueError("requires per-divisor Campana or Darmon multiplicities")

@@ -14,14 +14,13 @@ from math import gcd
 from typing import NamedTuple
 
 from .conditions import Kind, ToricPair, Variant
-from .fan import is_complete, is_smooth
+from .fan import require
 from .points import (
     factorize,
     is_m_full,
     is_perfect_power,
     is_squarefree,
     m_point_check,
-    _is_projective_space,
 )
 
 _HEIGHT_NOTE = ("height = max |canonical integer Cox coordinate| "
@@ -68,8 +67,7 @@ def enumerate_projective(pair: ToricPair, H: int) -> Census:
     if H < 1:
         raise ValueError("height bound must be at least 1")
     fan = pair.fan
-    if not _is_projective_space(fan):
-        raise ValueError("projective census needs a projective space fan")
+    require(fan, "projective censuses", "projective space")
     admits = pair.conditions.admits_vector
     verdicts = {}
     found = []
@@ -135,8 +133,7 @@ def enumerate_toric(pair: ToricPair, H: int) -> Census:
     fan = pair.fan
     if H < 0:
         raise ValueError("height bound must be nonnegative")
-    if not (is_smooth(fan) and is_complete(fan)):
-        raise ValueError("census needs a smooth complete fan")
+    require(fan, "interior censuses", "smooth", "complete")
     admits = pair.conditions.admits_vector
     verdicts = {}
     seen = set()
@@ -180,7 +177,7 @@ def _oracle_admits(cond, a: int) -> bool:
         if a in (1, -1):
             return True
         return all(e in cond.values for e in factorize(a).values())
-    raise ValueError(f"no arithmetic oracle for {cond.kind.value}")
+    raise AssertionError(cond.kind)
 
 
 def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
@@ -194,8 +191,7 @@ def crosscheck(pair: ToricPair, H: int) -> CrosscheckReport:
     if H < 1:
         raise ValueError("height bound must be at least 1")
     fan = pair.fan
-    if not _is_projective_space(fan):
-        raise ValueError("crosscheck runs on projective space")
+    require(fan, "crosschecks", "projective space")
     if pair.conditions.variant is not Variant.PRODUCT:
         raise ValueError("crosscheck needs per-divisor conditions")
     conds = pair.conditions.conditions

@@ -1,8 +1,8 @@
 """Combinatorial model of split toric varieties.
 
-Fans with primitive ray generators and simplicial maximal cones, smoothness and
-completeness tests, the 2-D minimal resolution, and inverse-image coefficients
-of torus-invariant divisors along refinements.
+Fans with primitive ray generators and simplicial maximal cones, the one check
+of what a computation assumes of its fan, the 2-D minimal resolution, and
+inverse-image coefficients of torus-invariant divisors along refinements.
 """
 from __future__ import annotations
 
@@ -146,6 +146,31 @@ def is_complete(f: Fan) -> bool:
     return all(v == 2 for v in walls.values())
 
 
+def is_projective_space(f: Fan) -> bool:
+    """True iff the rays of f are e_1, ..., e_d and -(e_1 + ... + e_d)."""
+    d = f.dim
+    return sorted(f.rays) == [(-1,) * d] + [(0,) * (d - 1 - i) + (1,) + (0,) * i for i in range(d)]
+
+
+# each fan hypothesis: its test, calling the predicate by name, and what a fan lacking it shows
+_HYPOTHESES = {
+    "smooth": (lambda f: is_smooth(f), "a maximal cone is singular (not unimodular)"),
+    "complete": (lambda f: is_complete(f), "the maximal cones do not cover N_R"),
+    "projective space": (lambda f: is_projective_space(f), "the rays are not those of P^d"),
+    "2-D": (lambda f: f.dim == 2, "only surfaces are handled"),
+    "smooth or 2-D": (lambda f: f.dim == 2 or is_smooth(f), "only singular surfaces are resolved"),
+}
+
+
+def require(f: Fan, what: str, *props: str) -> None:
+    """ValueError "<what> need a <prop> fan: <why>" for the first of props,
+    each a key of _HYPOTHESES, that f lacks."""
+    for prop in props:
+        holds, why = _HYPOTHESES[prop]
+        if not holds(f):
+            raise ValueError(f"{what} need a {prop} fan: {why}")
+
+
 # ---------------------------------------------------------------------------
 # Built-in fans
 # ---------------------------------------------------------------------------
@@ -253,8 +278,7 @@ def _hj_inserted(u, w) -> list:
 
 def resolve_2d(f: Fan) -> RefinementMap:
     """Minimal smooth refinement of a 2-D simplicial fan (Hirzebruch-Jung)."""
-    if f.dim != 2:
-        raise ValueError("resolve_2d only handles 2-D fans")
+    require(f, "resolutions", "2-D")
     rays = list(f.rays)
     new_cones = []
     for c in f.max_cones:
@@ -331,8 +355,7 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
     Refinements are frozen, so the result is cached per (refinement, divisor).
     """
     tgt, src = r.target, r.source
-    if not is_smooth(src):
-        raise ValueError("source fan of the refinement must be smooth")
+    require(src, "refinement sources", "smooth")
     coeffs: dict = {}
     for sc in src.max_cones:
         k = next((k for k, inverse in enumerate(_cone_inverses(tgt))

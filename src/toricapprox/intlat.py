@@ -90,11 +90,6 @@ def _identity(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _matmul(A, B) -> tuple:
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B))
-                 for row in A)
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (column style, canonical)
 # ---------------------------------------------------------------------------
@@ -260,14 +255,18 @@ def quotient_invariants(sub: LatticeBasis, ambient_dim: int) -> QuotientStructur
 
 
 def right_inverse(A: Sequence[Sequence[int]]) -> Optional[tuple]:
-    """Integer right inverse R with A R = I, or None if A is not surjective."""
+    """Integer right inverse R with A R = I, or None if A is not surjective.
+
+    A (d x l) is onto Z^d iff the HNF of A stacked on the identity has pivot 1
+    in each of its first d rows; its first d columns are then (e_j, r_j) with
+    A r_j = e_j, the columns of R.  The later pivots, one per relation, reduce
+    the r_j into [0, pivot) in their rows, mostly the first ones: R is small
+    and leans on the last columns of A."""
     d = len(A)
-    dec = snf(A)
-    facs = dec.invariant_factors()
-    if len(facs) < d or any(f != 1 for f in facs):
+    H = hnf(tuple(map(tuple, A)) + _identity(len(A[0])))
+    if any(row[j:j + 1] != (1,) for j, row in enumerate(H[:d])):
         return None
-    # A = U^-1 S V^-1 with S = [I | 0], so R = V[:, :d] U.
-    return _matmul(tuple(row[:d] for row in dec.V), dec.U)
+    return tuple(row[:d] for row in H[d:])
 
 
 # ---------------------------------------------------------------------------

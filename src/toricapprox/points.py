@@ -6,13 +6,14 @@ coordinates, translated into the unique cone-supported representative.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, cycle
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, is_complete, is_smooth, max_cone_coords
+from .fan import Fan, max_cone_coords, require
 from .intlat import INF, json_typed, json_value
 from .conditions import ToricPair, _phi
 
@@ -40,6 +41,8 @@ _RHO_BATCH = 128  # differences multiplied together between two gcds
 # trial divisors: steps 2 -> 3 -> 5 -> 7, then the mod-30 wheel from 7
 _WHEEL_START = (1, 2, 2)
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# a string coordinate: an integer or a fraction of integers, ASCII digits only
+_COORD = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -248,11 +251,14 @@ class CoxPoint(NamedTuple):
 
     @classmethod
     def from_json(cls, fan: Fan, obj) -> "CoxPoint":
-        """{"coords": [...]}, each coordinate a JSON int or a string such as "-4/9"."""
+        """{"coords": [...]}, each coordinate a JSON int or a string _COORD matches."""
         coords = []
         for c in json_value(obj, "coords", "a point", list):
+            if type(json_typed(c, "coords", int, str)) is str and not _COORD.fullmatch(c):
+                raise ValueError(f"coordinate {c!r} is not an integer or a fraction of "
+                                 "integers such as '-4/9'")
             try:
-                coords.append(Fraction(json_typed(c, "coords", int, str)))
+                coords.append(Fraction(c))
             except ZeroDivisionError:
                 raise ValueError(f"coordinate {c!r} has a zero denominator") from None
         return cls.make(fan, coords)
@@ -264,29 +270,21 @@ class CoxPoint(NamedTuple):
         return tuple(i for i, c in enumerate(self.coords) if c == 0)
 
 
-def _is_projective_space(fan: Fan) -> bool:
-    d = fan.dim
-    if len(fan.rays) != d + 1:
-        return False
-    want = {tuple(1 if j == i else 0 for j in range(d)) for i in range(d)}
-    want.add(tuple(-1 for _ in range(d)))
-    return set(fan.rays) == want
+def require_point_fan(P: "CoxPoint") -> None:
+    """What P's multiplicities assume of its fan: projective space at a boundary
+    point, else smooth and complete (a unique cone-supported representative)."""
+    if P.zero_support():
+        require(P.fan, "boundary multiplicities", "projective space")
+    else:
+        require(P.fan, "multiplicities", "smooth", "complete")
 
 
 def _multiplicities(fan: Fan, key: tuple) -> tuple:
-    """The multiplicity vector of a valuation key (see m_point_check) on fan:
-    a boundary key (INF on the zero set) itself, else the cone coordinates of
-    the key's phi-image."""
+    """The multiplicity vector of a valuation key (see m_point_check) on a fan
+    that require_point_fan admits: a boundary key (INF on the zero set)
+    itself, else the cone coordinates of the key's phi-image."""
     if INF in key:
-        # boundary points are supported on projective space only, where the
-        # vanishing divisors carry infinite multiplicity
-        if not _is_projective_space(fan):
-            raise ValueError("boundary multiplicities implemented for projective "
-                             "space only; general fans need the interior case")
         return key
-    if not (is_smooth(fan) and is_complete(fan)):
-        raise ValueError("multiplicities need a smooth complete fan "
-                         "(representative independence)")
     u = _phi(fan, key)
     hit = max_cone_coords(fan, u)
     if hit is None or any(x % hit[2] for x in hit[1]):
@@ -308,6 +306,7 @@ def _boundary_key(v, zeros: int) -> tuple:
 
 def mult_at_prime(p: int, P: CoxPoint):
     """Intersection multiplicities with the invariant divisors at the prime p."""
+    require_point_fan(P)
     v = [v_p(c, p) if c else 0 for c in P.coords]
     zeros = sum(1 << i for i in P.zero_support())
     return _multiplicities(P.fan, _boundary_key(v, zeros) if zeros else tuple(v))
@@ -316,8 +315,7 @@ def mult_at_prime(p: int, P: CoxPoint):
 @lru_cache(maxsize=256)
 def _mult_memo(fan: Fan) -> dict:
     """The multiplicity vectors found on one fan, keyed by valuation key (see
-    m_point_check): the vector depends on the key alone.  Each entry comes
-    from _multiplicities, so a fan it rejects gets none."""
+    m_point_check): the vector depends on the key alone."""
     return {}
 
 
@@ -334,7 +332,8 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
     """The M-point verdict of the point with Cox coordinates coords on fan, at
     every prime outside skip: (witness, multiplicity vectors).
 
-    coords are ints or Fractions whose zeros span a cone.  The cached
+    coords are ints or Fractions whose zeros span a cone of a fan that
+    require_point_fan admits (the caller checks it).  The cached
     factorization of each |numerator| and denominator (an int is its own
     numerator) is read in place, without a copy, into the valuation vector
     (v_p(x_i))_i of every prime p dividing one.  Its key is the vector itself
@@ -409,6 +408,7 @@ def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitnes
     is admissible."""
     if P.fan != pair.fan:
         raise ValueError("point and pair live on different fans")
+    require_point_fan(P)
     return m_point_check(P.fan, P.coords, pair.conditions.admits_vector, {},
                          excluded_primes)[0]
 

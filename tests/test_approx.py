@@ -1,9 +1,9 @@
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product as iter_product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from toricapprox import approx
@@ -267,16 +267,31 @@ def test_the_first_construction_verifies(request):
         assert tuple(vector) in gens
 
 
+def _request(fan, conds, targets):
+    """An index-1 request from (kind, m) per ray and {p: (coords, digits)}."""
+    pair = ToricPair(fan, MultiplicitySet.of([DivisorCondition(Kind(k), m) for k, m in conds]))
+    return pair, {p: (CoxPoint.make(fan, [Fraction(c) for c in coords]), k)
+                  for p, (coords, k) in targets.items()}
+
+
+# two requests on which a right inverse with unbounded entries (one read off the
+# Smith form reached 10^6 on H_1) builds coordinates past str(int)'s 4,300 digits
+@example(_request(hirzebruch(1), [("campana", 5), ("campana", 5), ("darmon", 4), ("campana", 5)],
+                  {3: (["-8/5", "-27/5", "-19/8", "-2/3"], 1), 13: (["-2/3", 2, 3, 3], 1)}),
+         [Fraction(13, 2), Fraction(-3, 4), Fraction(18), Fraction(-13, 4)])
+# or, on P^3, coordinates of 43,775 bits
+@example(_request(P3, [("campana", 3)] * 3 + [("campana", 2)], {2: (["1/4", 1, 1, 1], 1)}),
+         [Fraction(2), Fraction(3), Fraction(5), Fraction(7)])
 @settings(max_examples=100, deadline=None)
-@given(_index_one_requests(fans=(*_FANS, P3)), st.data())
-def test_integer_construction_equals_the_fraction_oracle(request, data):
+@given(_index_one_requests(fans=(*_FANS, P3)), st.lists(_COORD, min_size=4, max_size=4))
+def test_integer_construction_equals_the_fraction_oracle(request, other):
     """Every integer monomial of the construction equals its Fraction loop in
     tests/oracles.py, negative exponents (H_r) and signed targets with
-    denominators included, and so does the whole certificate."""
+    denominators included, and so does the whole certificate.  other gives
+    the coordinates of a second point, one per ray."""
     pair, targets = request
     gd = build_gamma(pair)
-    other = CoxPoint.make(pair.fan, data.draw(st.lists(_COORD, min_size=len(pair.fan.rays),
-                                                       max_size=len(pair.fan.rays))))
+    other = CoxPoint.make(pair.fan, other[:len(pair.fan.rays)])
     for p, (target, _) in targets.items():
         cs = solve_local_exponents(gd, target)
         assert cs == oracles.local_exponents(pair, gd, target)
@@ -287,3 +302,15 @@ def test_integer_construction_equals_the_fraction_oracle(request, data):
             assert (_closeness_valuation(pair, p, Q, target.coords)
                     == oracles.closeness(pair, p, Q, target.coords))
     assert m_point_approximate(pair, targets).to_json() == oracles.approximate(pair, targets)
+
+
+def test_the_right_inverse_stays_small():
+    """The exponents E = rinv R^T of every index-1 Campana pair with m < 8 on
+    P^2, H_2 and P^3 stay below 300 (a Smith-form inverse reached 10^20)."""
+    for fan, n in ((P2, 3), (hirzebruch(2), 4), (P3, 4)):
+        for ms in iter_product(range(1, 8), repeat=n):
+            try:
+                gd = build_gamma(ToricPair(fan, campana(list(ms))))
+            except ValueError:
+                continue
+            assert max(abs(x) for row in gd.exponents for x in row) < 300, (fan, ms)

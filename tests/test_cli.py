@@ -169,22 +169,30 @@ def test_approximate(capsys):
     assert obj["verified"] is True
 
 
+# the point that an earlier, unreduced construction built for the targets of
+# the test below
+_54_DIGIT_POINT = {"coords": ["24143586550969712769244366690405113",
+                             "3641648292872709173478544484757934330607350723113447268", "1"]}
+
+
 def test_approximate_certifies_a_54_digit_coordinate(capsys, cold_caches):
-    """ROADMAP section 3's reproduction: to 5 digits at 7 and 11, the point
-    has the coordinate 69474126697^3 * 52105595023^2, past trial division."""
+    """ROADMAP section 3's reproduction: to 5 digits at 7 and 11, an earlier
+    construction built a point whose coordinate 69474126697^3 * 52105595023^2
+    times small primes lies past trial division.  check-point certifies that
+    point, and the point that approximate builds today."""
     spec = {"point": {"coords": ["1", "2", "3"]}, "digits": 5}
     rc, out, err = run(capsys, "approximate", "--fan", "p2", "--campana", "2,2,2",
                        "--targets", json.dumps({"7": spec, "11": spec}), "--json")
     assert rc == 0, err
     obj = json.loads(out)
     assert obj["verified"] is True and obj["excluded_primes"] == [7, 11]
-    assert int(obj["point"]["coords"][1]) % (69474126697 ** 3 * 52105595023 ** 2) == 0
-    assert [m["p"] for m in obj["multiplicities"]][-2:] == [52105595023, 69474126697]
-    rc, out, err = run(capsys, "check-point", "--fan", "p2", "--campana", "2,2,2",
-                       "--point", json.dumps(obj["point"]), "--exclude", "7,11",
-                       "--assert", "--json")
-    assert rc == 0, err
-    assert json.loads(out) == {"is_m_point": True, "prime": None, "vector": None}
+    assert int(_54_DIGIT_POINT["coords"][1]) % (69474126697 ** 3 * 52105595023 ** 2) == 0
+    for point in (_54_DIGIT_POINT, obj["point"]):
+        rc, out, err = run(capsys, "check-point", "--fan", "p2", "--campana", "2,2,2",
+                           "--point", json.dumps(point), "--exclude", "7,11",
+                           "--assert", "--json")
+        assert rc == 0, err
+        assert json.loads(out) == {"is_m_point": True, "prime": None, "vector": None}
 
 
 def test_enumerate(capsys):
@@ -726,3 +734,96 @@ def test_cli_contract_on_malformed_inputs(argv):
     if rc == 1:
         assert "--assert" in argv, (argv, out.getvalue())
         assert ": NO" in out.getvalue() or "M-point: no" in out.getvalue(), argv
+
+
+# a fan lacking one hypothesis each: the affine plane is smooth and not
+# complete; P(1,1,2,1) is complete, singular and 3-dimensional
+AFFINE_PLANE = '{"dim":2,"rays":[[1,0],[0,1]],"max_cones":[[0,1]]}'
+SINGULAR_3FOLD = ('{"dim":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[-1,-1,-2]],'
+                  '"max_cones":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}')
+NOT_GLOBAL = json.dumps({"kind": "function_field", "base": "separably_closed", "char": 0})
+_WHY = {"smooth": "a maximal cone is singular (not unimodular)",
+        "complete": "the maximal cones do not cover N_R",
+        "projective space": "the rays are not those of P^d",
+        "smooth or 2-D": "only singular surfaces are resolved"}
+
+
+def _point_flag(*coords) -> list:
+    return ["--point", json.dumps({"coords": list(coords)})]
+
+
+def _targets_flag(*coords) -> list:
+    return ["--targets", json.dumps({"2": {"point": {"coords": list(coords)}, "digits": 1}})]
+
+
+@pytest.mark.parametrize("argv, what, prop", [
+    *[(["decide", *verdict, "--fan", INCOMPLETE_FAN], "verdicts", "complete")
+      for verdict in (["m-approx", "--darmon", "2,2,2"], ["integral", "--darmon", "2,2,2"],
+                      ["thinness", "--darmon", "2,2,2"], ["hilbert", "--darmon", "2,2,2"],
+                      ["hilbert", "--darmon", "2,2,2", "--field", NOT_GLOBAL],
+                      ["strong-approx", "--removed", "0"])],
+    *[(argv + ["--fan", SINGULAR_3FOLD, "--darmon", "2,2,2,2"], "verdicts", "smooth or 2-D")
+      for argv in (["analyze"], ["decide", "m-approx"], ["decide", "thinness"],
+                   ["decide", "hilbert", "--field", NOT_GLOBAL])],
+    (["pi1", "--fan", "p11r:2", "--m", "2,2,2"], "root stack fundamental groups", "smooth"),
+    # check-point checks the fan before it factors: a unit point fails alike
+    *[(["check-point", "--fan", "p11r:2", "--darmon", "2,2,2", *_point_flag(*c)],
+       "multiplicities", "smooth") for c in (["1", "1", "1"], ["4", "9", "25"])],
+    *[(["check-point", "--fan", AFFINE_PLANE, "--darmon", "2,2", *_point_flag(*c)],
+       "multiplicities", "complete") for c in (["1", "1"], ["4", "9"])],
+    *[(["check-point", "--fan", "hirzebruch:1", "--darmon", "2,2,2,2", *_point_flag(*c)],
+       "boundary multiplicities", "projective space")
+      for c in (["0", "1", "1", "1"], ["0", "2", "1", "1"])],
+    (["approximate", "--fan", "p11r:2", "--darmon", "1,1,1", *_targets_flag("1", "3", "5")],
+     "approximations", "smooth"),
+    (["approximate", "--fan", AFFINE_PLANE, "--darmon", "1,1", *_targets_flag("3", "5")],
+     "approximations", "complete"),
+    (["enumerate", "--fan", "hirzebruch:1", "--darmon", "2,2,2,2", "--height", "2"],
+     "projective censuses", "projective space"),
+    (["enumerate", "--fan", "p11r:2", "--darmon", "2,2,2", "--height", "2", "--interior"],
+     "interior censuses", "smooth"),
+    (["enumerate", "--fan", AFFINE_PLANE, "--darmon", "2,2", "--height", "2", "--interior"],
+     "interior censuses", "complete"),
+    (["crosscheck", "--fan", "hirzebruch:1", "--darmon", "2,2,2,2", "--height", "2"],
+     "crosschecks", "projective space"),
+])
+def test_an_unmet_fan_hypothesis_exits_2(capsys, argv, what, prop):
+    """Each command given a fan that lacks a property its computation assumes
+    exits 2 with one message form, before any answer."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"input error: {what} need a {prop} fan: {_WHY[prop]}\n")
+
+
+@pytest.mark.parametrize("fan, darmon", [("p2", "2,2,2"), ("p11r:2", "2,2,2")])
+def test_hilbert_off_a_global_field_computes_no_invariants(capsys, monkeypatch, fan, darmon):
+    """Off a global field the Hilbert verdict is UNKNOWN from the fan
+    hypotheses alone: neither pair_invariants nor nm_singular runs."""
+    import toricapprox.decide
+
+    def forbidden(*args):
+        raise AssertionError("invariants computed for an UNKNOWN verdict")
+    for name in ("pair_invariants", "nm_singular"):
+        monkeypatch.setattr(toricapprox.decide, name, forbidden)
+    rc, out, err = run(capsys, "decide", "hilbert", "--fan", fan, "--darmon", darmon,
+                       "--field", NOT_GLOBAL)
+    assert (rc, err) == (0, "") and out.startswith("m_hilbert_property: UNKNOWN\n")
+
+
+@pytest.mark.parametrize("coord", ["1.5", "4.", ".5", "1e3", "1E3", "1e1000000", "1_000",
+                                   "1_0/3", " 4 ", "\t4", "4\n", " -4/9 ", "٤"])
+def test_a_string_coordinate_is_an_integer_or_an_integer_fraction(capsys, coord):
+    """A string coordinate is read only as [-+]digits[/digits] in ASCII
+    digits: a decimal point, an exponent, an underscore, a space or another
+    script's digit exits 2 at once, where Fraction would read it (and would
+    spend minutes on 10^1000000)."""
+    rc, out, err = run(capsys, "check-point", "--fan", "p2", "--darmon", "2,2,2",
+                       *_point_flag(coord, "1", "1"))
+    assert (rc, out) == (2, "")
+    assert err == (f"input error: cannot read point: coordinate {coord!r} is not an "
+                   "integer or a fraction of integers such as '-4/9'\n")
+
+
+def test_integer_fraction_coordinates_are_read(capsys):
+    rc, out, err = run(capsys, "check-point", "--fan", "p2", "--darmon", "2,2,2", "--json",
+                       *_point_flag("-4/9", "+16", "0025"))
+    assert (rc, err) == (0, "") and json.loads(out)["is_m_point"] is True

@@ -15,15 +15,18 @@ from toricapprox.fan import (
     _cones_are_faces,
     _ideal_corners,
     NotPrincipalError,
+    RefinementMap,
     fan_validate,
     hirzebruch,
     inverse_image_coefficients,
     is_complete,
+    is_projective_space,
     is_smooth,
     max_cone_coords,
     minimal_cone_containing,
     product,
     projective_space,
+    require,
     resolve_2d,
     weighted_P11r,
 )
@@ -101,6 +104,25 @@ def test_smooth_and_complete():
     assert is_complete(projective_space(2))
     half = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     assert not is_complete(half)
+
+
+def test_projective_space_is_read_off_the_rays():
+    assert all(is_projective_space(projective_space(n)) for n in (1, 2, 3))
+    assert not is_projective_space(hirzebruch(1))
+    assert not is_projective_space(weighted_P11r(1))  # P^2 with other rays
+    assert not is_projective_space(Fan.make(2, [(1, 0), (0, 1)], [(0, 1)]))
+
+
+def test_require_names_the_first_missing_hypothesis():
+    p11r = weighted_P11r(2)
+    require(p11r, "anything", "complete", "2-D")
+    with pytest.raises(ValueError) as e:
+        require(p11r, "sums", "complete", "smooth", "projective space")
+    assert str(e.value) == "sums need a smooth fan: a maximal cone is singular (not unimodular)"
+    with pytest.raises(ValueError, match="^resolutions need a 2-D fan: only surfaces"):
+        resolve_2d(projective_space(3))
+    with pytest.raises(ValueError, match="^refinement sources need a smooth fan"):
+        inverse_image_coefficients(RefinementMap(p11r, p11r), 0)
 
 
 def test_stellar_subdivision_of_p112_gives_h2():

@@ -20,7 +20,7 @@ from toricapprox.conditions import (
 )
 from toricapprox.decide import _divisors_gt1
 from toricapprox import fan as fan_module, intlat, points
-from toricapprox.fan import hirzebruch, product as fan_product, projective_space
+from toricapprox.fan import Fan, hirzebruch, product as fan_product, projective_space, weighted_P11r
 from toricapprox.fields import Allowed, BaseClass, FieldDescriptor, RhoSpec, rho_contains
 from toricapprox.intlat import INF
 from toricapprox.points import (
@@ -194,6 +194,23 @@ def test_boundary_rejected_off_projective_space():
     P = CoxPoint.make(h2, [0, 1, 1, 1])
     with pytest.raises(ValueError, match="projective"):
         mult_at_prime(2, P)
+
+
+@pytest.mark.parametrize("fan, coords, msg", [
+    (weighted_P11r(2), [1, 1, 1], "multiplicities need a smooth fan"),
+    (weighted_P11r(2), [4, 9, 25], "multiplicities need a smooth fan"),
+    (Fan.make(2, [(1, 0), (0, 1)], [(0, 1)]), [1, 1], "multiplicities need a complete fan"),
+    (hirzebruch(1), [0, 1, 1, 1], "boundary multiplicities need a projective space fan"),
+    (hirzebruch(1), [0, 2, 1, 1], "boundary multiplicities need a projective space fan"),
+])
+def test_the_fan_is_checked_before_any_prime(fan, coords, msg):
+    """is_m_point and mult_at_prime check the fan up front, so a point with no
+    prime to factor, or a prime that divides no coordinate, fails alike."""
+    P = CoxPoint.make(fan, coords)
+    pair = ToricPair(fan, MultiplicitySet.of([DivisorCondition(Kind.ANY)] * len(coords)))
+    for call in (lambda: is_m_point(pair, P), lambda: mult_at_prime(7, P)):
+        with pytest.raises(ValueError, match=f"^{msg}: "):
+            call()
 
 
 # ---------------------------------------------------------------------------
