@@ -53,8 +53,7 @@ def _read_json(arg: str, read, what: str):
             return read(json.loads(s))
         with open(arg) as fh:
             return read(json.load(fh))
-    # TypeError: Fan.make's integer check
-    except (OSError, ValueError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise ValueError(f"cannot read {what}: {e}")
 
 
@@ -107,10 +106,13 @@ def parse_targets(fan: Fan, arg: str) -> dict:
 
     k is passed on as given: m_point_approximate rejects anything but an
     integer >= 1."""
+    def target(spec):
+        point = json_value(spec, "point", "a target")
+        json_object(spec, "a target", "point", "digits")
+        return CoxPoint.from_json(fan, point), json_value(spec, "digits", "a target", default=1)
+
     def read(raw):
-        return {int(p): (CoxPoint.from_json(fan, json_value(spec, "point", "a target")),
-                         json_value(spec, "digits", "a target", default=1))
-                for p, spec in json_object(raw, "the targets").items()}
+        return {int(p): target(spec) for p, spec in json_object(raw, "the targets").items()}
 
     targets = _read_json(arg, read, "targets")
     for p in targets:

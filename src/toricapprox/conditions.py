@@ -21,6 +21,7 @@ from .intlat import (
     cone_is_full,
     json_mult,
     json_object,
+    json_typed,
     json_value,
     lattice_from_generators,
     quotient_invariants,
@@ -250,7 +251,8 @@ def conditions_from_json(obj) -> MultiplicitySet:
     what = f"a {variant} multiplicity set"
     if variant == "custom":
         vectors = json_value(json_object(obj, variant, "type", "vectors"), "vectors", what, list)
-        return MultiplicitySet.custom([[json_mult(x) for x in v] for v in vectors])
+        return MultiplicitySet.custom([[json_mult(x) for x in json_typed(v, "vectors", list)]
+                                       for v in vectors])
     if variant == "weak_campana":
         m = json_value(json_object(obj, variant, "type", "m"), "m", what, list)
         return MultiplicitySet.weak_campana([json_mult(x) for x in m])

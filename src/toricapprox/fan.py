@@ -17,6 +17,8 @@ from .intlat import (
     _lp_feasible,
     cone_coords,
     cone_inverse,
+    json_object,
+    json_typed,
     json_value,
     lattice_from_generators,
 )
@@ -31,11 +33,10 @@ class Fan(NamedTuple):
 
     @classmethod
     def make(cls, dim, rays, max_cones) -> "Fan":
-        """Refuses a float, string or bool where an integer belongs."""
+        """Refuses a float, string or bool where an integer belongs (TypeError)."""
         rays, cones = tuple(map(tuple, rays)), tuple(map(tuple, max_cones))
-        bad = [x for x in (dim, *_chain(*rays), *_chain(*cones)) if type(x) is not int]
-        if bad:
-            raise TypeError(f"dim, ray entries and cone indices must be integers, got {bad[0]!r}")
+        if why := _not_integers(dim, rays, cones):
+            raise TypeError(why)
         return cls(dim, rays, tuple(tuple(sorted(c)) for c in cones))
 
     def cone_rays(self, cone) -> list:
@@ -43,7 +44,22 @@ class Fan(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj) -> "Fan":
-        return cls.make(*(json_value(obj, key, "a fan") for key in ("dim", "rays", "max_cones")))
+        """{"dim": d, "rays": [[...], ...], "max_cones": [[...], ...]}; a ValueError
+        names the key or the entry that is not of its JSON type."""
+        dim = json_value(obj, "dim", "a fan")
+        rays, cones = ([json_typed(r, key, list) for r in json_value(obj, key, "a fan", list)]
+                       for key in ("rays", "max_cones"))
+        json_object(obj, "a fan", "dim", "rays", "max_cones")
+        if why := _not_integers(dim, rays, cones):
+            raise ValueError(why)
+        return cls.make(dim, rays, cones)
+
+
+def _not_integers(dim, rays, cones) -> str:
+    """The complaint at the first of dim, the ray entries and the cone indices
+    that is no int (a float, string or bool), or "" when there is none."""
+    bad = [x for x in (dim, *_chain(*rays), *_chain(*cones)) if type(x) is not int]
+    return f"dim, ray entries and cone indices must be integers, got {bad[0]!r}" if bad else ""
 
 
 class RefinementMap(NamedTuple):
@@ -147,16 +163,17 @@ def is_complete(f: Fan) -> bool:
 
 
 def is_projective_space(f: Fan) -> bool:
-    """True iff the rays of f are e_1, ..., e_d and -(e_1 + ... + e_d)."""
+    """True iff f is complete and its rays are e_1, ..., e_d and -(e_1 + ... + e_d)."""
     d = f.dim
-    return sorted(f.rays) == [(-1,) * d] + [(0,) * (d - 1 - i) + (1,) + (0,) * i for i in range(d)]
+    return (sorted(f.rays) == [(-1,) * d] + [(0,) * (d - 1 - i) + (1,) + (0,) * i
+                                             for i in range(d)] and is_complete(f))
 
 
 # each fan hypothesis: its test, calling the predicate by name, and what a fan lacking it shows
 _HYPOTHESES = {
     "smooth": (lambda f: is_smooth(f), "a maximal cone is singular (not unimodular)"),
     "complete": (lambda f: is_complete(f), "the maximal cones do not cover N_R"),
-    "projective space": (lambda f: is_projective_space(f), "the rays are not those of P^d"),
+    "projective space": (lambda f: is_projective_space(f), "the fan is not that of P^d"),
     "2-D": (lambda f: f.dim == 2, "only surfaces are handled"),
     "smooth or 2-D": (lambda f: f.dim == 2 or is_smooth(f), "only singular surfaces are resolved"),
 }

@@ -10,7 +10,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .intlat import json_typed, json_value
+from .intlat import json_object, json_typed, json_value
 from .points import FactorizationError, factorize, is_prime
 
 
@@ -210,7 +210,11 @@ def default_flags(fd: FieldDescriptor, excluded_place_count: Optional[int] = Non
     elif fd.kind is FieldKind.GLOBAL_FUNCTION_FIELD:
         pic = TriBool.TRUE
         units = TriBool.TRUE
-        if excluded_place_count is not None and excluded_place_count <= 1:
+        if excluded_place_count is None:
+            gm = TriBool.UNKNOWN
+            notes.append("G_m(B) is finite iff at most one place is excluded; pass "
+                         "the number of excluded places to decide")
+        elif excluded_place_count <= 1:
             gm = TriBool.TRUE
             notes.append("at most one excluded place: unit group reduces to the "
                          "finite constant field")
@@ -237,9 +241,12 @@ def field_from_json(obj) -> FieldDescriptor:
     kind = FieldKind(json_value(obj, "kind", "a field descriptor"))
     what = f"a {kind.value} descriptor"
     if kind is FieldKind.NUMBER_FIELD:
+        json_object(obj, what, "kind")
         return FieldDescriptor.number_field()
     if kind is FieldKind.GLOBAL_FUNCTION_FIELD:
+        json_object(obj, what, "kind", "q")
         return FieldDescriptor.global_function_field(json_value(obj, "q", what, int, default=None))
+    json_object(obj, what, "kind", "base", "char", "curve_has_real_point", "closed_primes")
     primes = json_value(obj, "closed_primes", what, list, default=None)
     return FieldDescriptor.function_field(
         BaseClass(json_value(obj, "base", what)), json_value(obj, "char", what, int, default=0),

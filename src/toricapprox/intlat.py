@@ -151,96 +151,52 @@ def lattice_from_generators(vectors: Sequence[Sequence[int]], ambient_dim: int) 
 # ---------------------------------------------------------------------------
 
 def snf(A: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Smith normal form via elementary operations with pivot-size control.
+    """Smith normal form from Hermite forms (Kannan and Bachem, SIAM J. Comput.
+    8, 1979): no elimination of its own.
 
-    Returns (U, S, V) with U A V = S, |det U| = |det V| = 1, S diagonal
-    with nonnegative entries in a divisibility chain.
+    Returns (U, S, V) with U A V = S, |det U| = |det V| = 1, S diagonal with
+    nonnegative entries in a divisibility chain, zeros last.  A column pass is
+    one hnf of S stacked on V: the rows of V keep every column live, so the
+    lower block is the new V.  A row pass is the same on the transposes, with
+    U^T below.  While S is not diagonal, column and row passes alternate.  Two
+    orders matter.  S is tested before each pass, so a diagonal input, such as
+    the HNF basis of an index-1 lattice, makes no hnf call.  Once S is diagonal
+    and nonnegative, an entry d_i that fails to divide a later d_j (0 fails
+    against any nonzero entry) takes row j added to row i, and the column pass
+    runs first: it turns d_i into gcd(d_i, d_j), where a row pass would
+    subtract row j back out.
+
+    It ends because a diagonal entry only ever drops to a proper divisor (0 to
+    a nonzero entry).  A pass sets the leading entry of the block not yet
+    cleared to the gcd of its row or column, and keeps it only when it divides
+    them, so that the next pass clears both; the divisibility fix drops d_i and
+    leaves the entries before it alone.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0 or n == 0:
-        return SmithDecomposition(_identity(m), tuple(map(tuple, A)), _identity(n))
-    S = [list(row) for row in A]
-    U = [list(row) for row in _identity(m)]
-    V = [list(row) for row in _identity(n)]
-
-    def row_sub(i, j, f):  # row_i -= f * row_j
-        S[i] = [S[i][k] - f * S[j][k] for k in range(n)]
-        U[i] = [U[i][k] - f * U[j][k] for k in range(m)]
-
-    def col_sub(i, j, f):  # col_i -= f * col_j
-        for r in range(m):
-            S[r][i] -= f * S[r][j]
-        for r in range(n):
-            V[r][i] -= f * V[r][j]
-
-    t = 0
-    while t < min(m, n):
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        S[t], S[bi] = S[bi], S[t]
-        U[t], U[bi] = U[bi], U[t]
-        if bj != t:
-            for r in range(m):
-                S[r][t], S[r][bj] = S[r][bj], S[r][t]
-            for r in range(n):
-                V[r][t], V[r][bj] = V[r][bj], V[r][t]
-
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    f = S[i][t] // S[t][t]
-                    row_sub(i, t, f)
-                    if S[i][t] != 0:
-                        S[t], S[i] = S[i], S[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    f = S[t][j] // S[t][t]
-                    col_sub(j, t, f)
-                    if S[t][j] != 0:
-                        for r in range(m):
-                            S[r][t], S[r][j] = S[r][j], S[r][t]
-                        for r in range(n):
-                            V[r][t], V[r][j] = V[r][j], V[r][t]
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility fix: pivot must divide the trailing block
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            row_sub(t, culprit, -1)  # row_t += row_culprit
-        t += 1
-
-    # normalize signs on the diagonal
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            for k in range(n):
-                S[i][k] = -S[i][k]
-            for k in range(m):
-                U[i][k] = -U[i][k]
-    return SmithDecomposition(*(tuple(map(tuple, M)) for M in (U, S, V)))
+    m, n = len(A), len(A[0]) if A else 0
+    U, S, V = _identity(m), tuple(map(tuple, A)), _identity(n)
+    if not m or not n:
+        return SmithDecomposition(U, S, V)
+    rows = False  # the next pass is a row pass
+    while True:
+        while any(x for i, row in enumerate(S) for j, x in enumerate(row) if i != j):
+            if rows:
+                H = hnf((*zip(*S), *zip(*U)))
+                S, U = tuple(zip(*H[:n])), tuple(zip(*H[n:]))
+            else:
+                H = hnf((*S, *V))
+                S, V = H[:m], H[m:]
+            rows = not rows
+        S, U, rows = list(S), list(U), False
+        d = [abs(S[i][i]) for i in range(min(m, n))]
+        for i in range(len(d)):
+            if S[i][i] < 0:
+                S[i], U[i] = tuple(-x for x in S[i]), tuple(-x for x in U[i])
+        bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                    if (d[j] % d[i] if d[i] else d[j])), None)
+        if bad is None:
+            return SmithDecomposition(tuple(U), tuple(S), V)
+        i, j = bad
+        S[i], U[i] = (tuple(a + b for a, b in zip(M[i], M[j])) for M in (S, U))
 
 
 def quotient_invariants(sub: LatticeBasis, ambient_dim: int) -> QuotientStructure:

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, max_cone_coords, require
-from .intlat import INF, json_typed, json_value
+from .intlat import INF, json_object, json_typed, json_value
 from .conditions import ToricPair, _phi
 
 
@@ -252,8 +252,9 @@ class CoxPoint(NamedTuple):
     @classmethod
     def from_json(cls, fan: Fan, obj) -> "CoxPoint":
         """{"coords": [...]}, each coordinate a JSON int or a string _COORD matches."""
-        coords = []
-        for c in json_value(obj, "coords", "a point", list):
+        coords, given = [], json_value(obj, "coords", "a point", list)
+        json_object(obj, "a point", "coords")
+        for c in given:
             if type(json_typed(c, "coords", int, str)) is str and not _COORD.fullmatch(c):
                 raise ValueError(f"coordinate {c!r} is not an integer or a fraction of "
                                  "integers such as '-4/9'")

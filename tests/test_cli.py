@@ -519,6 +519,52 @@ def test_a_missing_json_key_is_named_with_its_object(capsys, argv, msg):
     assert (rc, out, err) == (2, "", f"input error: {msg}\n")
 
 
+def _fan_flag(**change) -> list:
+    return ["--fan", json.dumps({**json.loads(_fan_json()), **change})]
+
+
+def _field_flag(field) -> list:
+    return ["decide", "m-approx", "--fan", "p2", "--darmon", "2,2,2", "--field", json.dumps(field)]
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["validate", *_fan_flag(extra=1)], "a fan takes no key 'extra'"),
+    (_field_flag({"kind": "number_field", "q": 7}),
+     "cannot read field descriptor: a number_field descriptor takes no key 'q'"),
+    (_field_flag({"kind": "global_function_field", "q": 4, "char": 2}),
+     "cannot read field descriptor: a global_function_field descriptor takes no key 'char'"),
+    (_field_flag({"kind": "function_field", "base": "finite", "q": 4}),
+     "cannot read field descriptor: a function_field descriptor takes no key 'q'"),
+    (["check-point", "--fan", "p2", "--darmon", "2,2,2", "--point",
+      json.dumps({"coords": ["1", "2", "3"], "cords": [1, 1]})],
+     "cannot read point: a point takes no key 'cords'"),
+    (["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+      json.dumps({"7": {"point": {"coords": ["1", "2", "3"]}, "digts": 5}})],
+     "cannot read targets: a target takes no key 'digts'"),
+    # the lists of a fan or a custom set are read as lists, by the key that holds them
+    (["validate", *_fan_flag(rays=5)], "rays must be a JSON list, got 5"),
+    (["validate", *_fan_flag(max_cones=[[0, 1], 2, [0, 2]])], "max_cones must be a JSON list, got 2"),
+    (["analyze", "--fan", "p2", "--cond", '{"type": "custom", "vectors": [5]}'],
+     "cannot read conditions: vectors must be a JSON list, got 5"),
+])
+def test_a_json_object_takes_only_its_own_keys(capsys, argv, msg):
+    """A fan, field, point or target given as JSON with a key it does not
+    take (a misspelling, say) exits 2 naming the key, rather than falling
+    back to a default."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and err.startswith("input error: ") and err.endswith(msg + "\n")
+
+
+def test_thinness_over_a_function_field_with_no_place_count(capsys):
+    """The excluded places of a global function field are not given, so
+    whether G_m(B) is finite, and the density verdict, are unknown, as over Q."""
+    field = json.dumps({"kind": "global_function_field", "q": 4})
+    verdicts = [json.loads(run(capsys, "decide", "thinness", "--fan", "p2", "--darmon", "2,2,2",
+                               "--json", *flag)[1]) for flag in ([], ["--field", field])]
+    assert [v["zariski_dense"] for v in verdicts] == ["unknown", "unknown"]
+    assert not any("G_m(B)" in r for v in verdicts for r in v["reasons"])
+
+
 # each: the help, version or usage error that the parser of the command argv
 # names must print exactly as the parser of every command does
 _PARSER_ARGV = [
@@ -744,7 +790,7 @@ SINGULAR_3FOLD = ('{"dim":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[-1,-1,-2]],'
 NOT_GLOBAL = json.dumps({"kind": "function_field", "base": "separably_closed", "char": 0})
 _WHY = {"smooth": "a maximal cone is singular (not unimodular)",
         "complete": "the maximal cones do not cover N_R",
-        "projective space": "the rays are not those of P^d",
+        "projective space": "the fan is not that of P^d",
         "smooth or 2-D": "only singular surfaces are resolved"}
 
 
@@ -786,6 +832,12 @@ def _targets_flag(*coords) -> list:
      "interior censuses", "complete"),
     (["crosscheck", "--fan", "hirzebruch:1", "--darmon", "2,2,2,2", "--height", "2"],
      "crosschecks", "projective space"),
+    # P^2's rays without the cone {0, 2}: the rays alone do not make P^2
+    *[(argv + ["--fan", INCOMPLETE_FAN], what, "projective space") for argv, what in (
+        (["enumerate", "--darmon", "1,1,1", "--height", "1"], "projective censuses"),
+        (["crosscheck", "--darmon", "2,2,2", "--height", "2"], "crosschecks"),
+        (["check-point", "--darmon", "2,2,2", *_point_flag("0", "4", "9")],
+         "boundary multiplicities"))],
 ])
 def test_an_unmet_fan_hypothesis_exits_2(capsys, argv, what, prop):
     """Each command given a fan that lacks a property its computation assumes

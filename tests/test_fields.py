@@ -90,6 +90,8 @@ def test_default_flags():
     assert fl.gm_B_finite is TriBool.TRUE
     fl = default_flags(FieldDescriptor.global_function_field(4), 2)
     assert fl.gm_B_finite is TriBool.FALSE
+    fl = default_flags(FieldDescriptor.global_function_field(4))
+    assert fl.gm_B_finite is TriBool.UNKNOWN and "excluded places" in fl.notes[0]
     fl = default_flags(FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, 0))
     assert fl.pic_C_finitely_generated is TriBool.UNKNOWN
 

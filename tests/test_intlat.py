@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import rank, solve_rational
 from toricapprox import intlat
@@ -64,6 +64,16 @@ def test_snf_examples():
     A = ((0, 0), (0, 0))
     assert snf(A).invariant_factors() == []
     assert snf(A).S == ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("A", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, 0), (0, 4)),
+                               ((3, 0, 0),)])
+def test_snf_of_an_ordered_diagonal_runs_no_hnf(monkeypatch, A):
+    calls = []
+    monkeypatch.setattr(intlat, "hnf", lambda *a: calls.append(a) or hnf(*a))
+    dec = snf(A)
+    assert (dec.U, dec.S, dec.V) == (intlat._identity(len(A)), A, intlat._identity(len(A[0])))
+    assert calls == []
 
 
 def test_quotient_invariants():
@@ -183,12 +193,38 @@ def test_cone_inverse_matches_the_exact_solver(d, data):
     assert (D == 1 and len(N) == d - len(rays)) == unimodular
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_snf_relation(m, n, data):
-    entries = data.draw(st.lists(st.integers(-20, 20), min_size=m * n, max_size=m * n))
-    A = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(m))
+@st.composite
+def _small_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+                 for _ in range(m))
+
+
+@st.composite
+def _hard_matrices(draw):
+    """Up to 6 x 6: diagonals out of divisibility order (zeros among them), or
+    entries up to 10^6 with whole rows and columns of zeros."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        d = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 9, 10, 15, -6, 999_983, 10 ** 6]),
+                          min_size=min(m, n), max_size=min(m, n)))
+        return tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(m))
+    bound = draw(st.sampled_from([1, 20, 10 ** 6]))
+    rows = draw(st.sets(st.integers(0, m - 1)))
+    cols = draw(st.sets(st.integers(0, n - 1)))
+    return tuple(tuple(0 if i in rows or j in cols else draw(st.integers(-bound, bound))
+                       for j in range(n)) for i in range(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_small_matrices(), _hard_matrices()))
+@example(((1, 3, 0), (0, 7, 0), (0, 0, 1)))  # a row pass first after the fix never ends
+def test_snf_relation(A):
+    m, n = len(A), len(A[0])
     dec = snf(A)
+    assert all(x == 0 for i, row in enumerate(dec.S) for j, x in enumerate(row) if i != j)
+    d = [dec.S[i][i] for i in range(min(m, n))]
+    assert all(x >= 0 for x in d) and d == sorted(d, key=lambda x: x == 0)
     assert matmul(matmul(dec.U, A), dec.V) == dec.S
     assert abs(det(dec.U)) == 1
     assert abs(det(dec.V)) == 1
