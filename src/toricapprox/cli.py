@@ -111,8 +111,13 @@ def parse_targets(fan: Fan, arg: str) -> dict:
         json_object(spec, "a target", "point", "digits")
         return CoxPoint.from_json(fan, point), json_value(spec, "digits", "a target", default=1)
 
+    def key(p):
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"target keys must be primes in decimal digits, got {p!r}")
+        return int(p)
+
     def read(raw):
-        return {int(p): target(spec) for p, spec in json_object(raw, "the targets").items()}
+        return {key(p): target(spec) for p, spec in json_object(raw, "the targets").items()}
 
     targets = _read_json(arg, read, "targets")
     for p in targets:

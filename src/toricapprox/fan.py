@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain as _chain, combinations
-from itertools import product as _iter_product
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -268,8 +267,9 @@ def _xgcd(a: int, b: int):
     return g, y, x - (a // b) * y
 
 
-def _hj_inserted(u, w) -> list:
-    """Minimal Hirzebruch-Jung ray chain strictly inside the 2-D cone(u, w).
+def _hj_runs(u, w) -> list:
+    """Minimal Hirzebruch-Jung ray chain strictly inside the 2-D cone(u, w), as
+    runs (v, step, t): the rays v, v + step, ..., v + (t - 1) step.
 
     Let m = |det(u, w)| and p u_0 + q u_1 = 1.  The first ray is
     v_1 = (w + k u)/m for the one k in (0, m) that makes it integral: the map
@@ -277,45 +277,44 @@ def _hj_inserted(u, w) -> list:
     w + k u are divisible by m iff k = -(p w_0 + q w_1) mod m.  With v_0 = u
     and the Hirzebruch-Jung continued fraction m/k = b_1 - 1/(b_2 - ...),
     each next ray is v_(i+1) = b_i v_i - v_(i-1); the ray after the chain
-    is w."""
+    is w.  A step with b = 2 keeps m - k and v_(i+1) - v_i, so the k // (m - k)
+    such steps after a ray extend its run; every other run starts at a ray with
+    b >= 3, where m halves, so the walk takes O(log m) steps."""
     m = abs(u[0] * w[1] - u[1] * w[0])
     if m <= 1:
         return []
     _, p, q = _xgcd(u[0], u[1])
     k = -(p * w[0] + q * w[1]) % m
     prev, cur = u, ((w[0] + k * u[0]) // m, (w[1] + k * u[1]) // m)
-    chain = []
+    runs = []
     while k:
         b = -(-m // k)
-        chain.append(cur)
-        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
-        m, k = k, b * k - m
-    return chain
+        step = ((b - 1) * cur[0] - prev[0], (b - 1) * cur[1] - prev[1])
+        d = m - (b - 1) * k
+        t, k = divmod(b * k - m, d)
+        m = k + d
+        runs.append((cur, step, t + 1))
+        prev = (cur[0] + t * step[0], cur[1] + t * step[1])
+        cur = (prev[0] + step[0], prev[1] + step[1])
+    return runs
 
 
 def resolve_2d(f: Fan) -> RefinementMap:
     """Minimal smooth refinement of a 2-D simplicial fan (Hirzebruch-Jung)."""
     require(f, "resolutions", "2-D")
-    rays = list(f.rays)
+    index = {r: j for j, r in enumerate(f.rays)}
     new_cones = []
     for c in f.max_cones:
         if len(c) == 1:
             new_cones.append(c)
             continue
-        u, w = f.rays[c[0]], f.rays[c[1]]
-        inserted = _hj_inserted(u, w)
-        if not inserted:
-            new_cones.append(c)
-            continue
-        idxs = []
-        for nr in inserted:
-            if nr not in rays:
-                rays.append(nr)
-            idxs.append(rays.index(nr))
-        chain = [c[0]] + idxs + [c[1]]
-        for a, b in zip(chain, chain[1:]):
-            new_cones.append(tuple(sorted((a, b))))
-    source = Fan.make(2, rays, sorted(set(new_cones)))
+        chain = [c[0]]
+        for v, step, t in _hj_runs(*f.cone_rays(c)):
+            chain += [index.setdefault((v[0] + j * step[0], v[1] + j * step[1]), len(index))
+                      for j in range(t)]
+        chain.append(c[1])
+        new_cones += [tuple(sorted(e)) for e in zip(chain, chain[1:])]
+    source = Fan.make(2, list(index), sorted(set(new_cones)))
     return RefinementMap(source, f)
 
 
@@ -324,42 +323,29 @@ def resolve_2d(f: Fan) -> RefinementMap:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _ideal_corners(f: Fan, k: int, i: int) -> tuple:
-    """Points of the ideal {m : <m, r_l> >= [l = i]} of D_i on the k-th maximal
-    cone of f, full-dimensional with rays r_l, among which every n in the cone
-    has a minimizer of <m, n>.
+def _ideal_vertices(f: Fan, k: int, i: int) -> tuple:
+    """Points of the ideal I = {m : <m, r_l> >= [l = i]} of D_i on the k-th
+    cone sigma of the 2-D fan f, full-dimensional, that hold every vertex of
+    conv(I); (0, 0) alone when r_i is not a ray of sigma.
 
-    The rows A[l] / D of the cone's inverse are the dual basis of the r_l.  Let
-    g_l = A[l] / gcd(A[l]) and s_l = <g_l, r_l> > 0.  While <m, r_l> - [l = i]
-    >= s_l, m - g_l stays in the ideal and lowers <m, n> by s_l x_l >= 0 for
-    n = sum x_l r_l.  So the reduced points, 0 <= <m, r_l> - [l = i] < s_l,
-    hold a minimizer for every n, and a simultaneous one whenever one exists.
-    There is one per coset of the lattice G of the g_l: each z in the box of
-    the diagonal of G's triangular HNF, shifted by -floor((<z, r_l> - [l = i])
-    / s_l) g_l.  Points that another undercuts in every <m, r_l> are dropped;
-    a Cartier D_i leaves one, the m with <m, r_l> = [l = i].  The points come
-    in lexicographic order of their values <m, r_l>.
+    With g = A[l] / gcd(A[l]) for the rows of the cone's inverse, g_i and g_o
+    generate the dual cone sigma^v, g_o orthogonal to r_i, and I is the lattice
+    points of sigma^v off the ray of g_o.  The Hirzebruch-Jung chain of sigma^v
+    from g_o to g_i runs along the Klein sail conv(sigma^v & M - 0), whose
+    vertices are g_o, g_i and the chain rays with b >= 3 (Oda, Convex Bodies and
+    Algebraic Geometry, 1.6).  The ray next to g_o is a basis with it, so it is
+    the first point of I on <m, r_i> = 1 and conv(I) = conv(chain, g_i) + sigma^v:
+    g_i and the first ray of each run of _hj_runs(g_o, g_i) cover its vertices.
+    For n in sigma, <m, n> is least over I at a vertex, and two rays of sigma
+    have a simultaneous minimizer iff each vertex of the face minimizing their
+    sum is one.
     """
     c = f.max_cones[k]
-    rays = f.cone_rays(c)
-    g = [tuple(x // gcd(*a) for x in a) for a in _cone_inverses(f)[k][0]]
-    s = [_dot(gl, r) for gl, r in zip(g, rays)]
-    diag = [v[j] for j, v in enumerate(lattice_from_generators(g, f.dim).basis)]
-    reduced = []
-    for z in _iter_product(*(range(h) for h in diag)):
-        q = [(_dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
-        m = tuple(zj - _dot(q, col) for zj, col in zip(z, zip(*g)))
-        reduced.append((tuple(_dot(m, r) for r in rays), m))
-    # in lexicographic order only an earlier point can undercut a later one;
-    # in 2-D the kept values fall strictly in the second entry, so the last
-    # kept point is the one that can
-    reduced.sort()
-    corners = []
-    for v, m in reduced:
-        rivals = corners[-1:] if f.dim == 2 else corners
-        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in rivals):
-            corners.append((v, m))
-    return tuple(m for _, m in corners)
+    if i not in c:
+        return ((0, 0),)
+    A = _cone_inverses(f)[k][0]
+    g_i, g_o = (tuple(x // gcd(*a) for x in a) for a in (A[c.index(i)], A[1 - c.index(i)]))
+    return (g_i, *(v for v, _, _ in _hj_runs(g_o, g_i)))
 
 
 @lru_cache(maxsize=256)
@@ -367,12 +353,13 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
     """Coefficients of f^-1 D_i on the source divisors, else NotPrincipalError.
 
     On each source cone the coefficients are the minima of <m, n> over the
-    ideal of D_i on the target cone, read from _ideal_corners; the inverse
+    ideal of D_i on the target cone, read from _ideal_vertices; the inverse
     image is principal there iff one point attains all of them at once.
     Refinements are frozen, so the result is cached per (refinement, divisor).
     """
     tgt, src = r.target, r.source
     require(src, "refinement sources", "smooth")
+    require(tgt, "refinement targets", "2-D")
     coeffs: dict = {}
     for sc in src.max_cones:
         k = next((k for k, inverse in enumerate(_cone_inverses(tgt))
@@ -382,7 +369,7 @@ def inverse_image_coefficients(r: RefinementMap, i: int):
             raise NotPrincipalError(i, "source cone not contained in any target cone")
         if len(tgt.max_cones[k]) != tgt.dim:
             raise NotPrincipalError(i, "non-full-dimensional singular target cone")
-        values = [tuple(_dot(m, src.rays[j]) for j in sc) for m in _ideal_corners(tgt, k, i)]
+        values = [tuple(_dot(m, src.rays[j]) for j in sc) for m in _ideal_vertices(tgt, k, i)]
         mins = tuple(map(min, zip(*values)))
         if mins not in values:
             raise NotPrincipalError(

@@ -20,7 +20,9 @@ separating-functional LP.  It reads N_M and the fullness of its cone off one
 generator per primitive direction; the tests check both against every
 generator as its own column.  It builds the generators of a pulled-back pair
 exactly; the tests check them against a search of every cone-supported
-vector with entries up to an unproven bound W, and 2W.
+vector with entries up to an unproven bound W, and 2W.  It reads the minima
+of a 2-D ideal off a few points that hold the vertices of its hull; the
+tests check them against one reduced point per coset of the cone's index.
 """
 import math
 from fractions import Fraction
@@ -369,6 +371,35 @@ def approximate(pair, targets) -> dict:
     close = tuple((p, targets[p][1], closeness(pair, p, coords, targets[p][0].coords))
                   for p in primes)
     return ApproxCertificate(point, close, mults, primes, witness).to_json()
+
+
+def ideal_reduced_points(f: Fan, k: int, i: int) -> list:
+    """Points of the ideal {m : <m, r_l> >= [l = i]} of D_i on the k-th maximal
+    cone of f, full-dimensional with rays r_l, among which every n in the cone
+    has a minimizer of <m, n>, and a simultaneous one for several n whenever
+    one exists: one point per coset of the dual generators, so as many as the
+    cone's index.
+
+    The rows A[l] / D of the cone's inverse are the dual basis of the r_l.  Let
+    g_l = A[l] / gcd(A[l]) and s_l = <g_l, r_l> > 0.  While <m, r_l> - [l = i]
+    >= s_l, m - g_l stays in the ideal and lowers <m, n> by s_l x_l >= 0 for
+    n = sum x_l r_l.  So the reduced points, 0 <= <m, r_l> - [l = i] < s_l,
+    hold every minimizer that the package reads off the ideal's vertices.
+    There is one per coset of the lattice G of the g_l: each z in the box of
+    the diagonal of G's triangular HNF, shifted by -floor((<z, r_l> - [l = i])
+    / s_l) g_l.
+    """
+    c = f.max_cones[k]
+    rays = f.cone_rays(c)
+    g = [tuple(x // math.gcd(*a) for x in a) for a in _cone_inverses(f)[k][0]]
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    s = [dot(gl, r) for gl, r in zip(g, rays)]
+    diag = [v[j] for j, v in enumerate(lattice_from_generators(g, f.dim).basis)]
+    reduced = []
+    for z in product(*(range(h) for h in diag)):
+        q = [(dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
+        reduced.append(tuple(zj - dot(q, col) for zj, col in zip(z, zip(*g))))
+    return reduced
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import toricapprox
+import toricapprox.fan as fan_module
 from toricapprox.cli import build_parser, main, parse_fan
 from toricapprox.conditions import Kind
 from toricapprox.fan import NotPrincipalError, hirzebruch, product, projective_space
@@ -350,6 +352,32 @@ def test_arithmetic_inputs_end_promptly(capsys, cold_caches, argv, want_rc, want
     assert "Traceback" not in err
 
 
+_FINITE_SET_COND = ('[{"type":"finite_set","values":[2]},{"type":"darmon","m":4},'
+                    '{"type":"darmon","m":6}]')
+_NOTES = "notes: ['pullback generators: exact, a congruence lattice and a proven box per source cone']\n"
+
+
+@pytest.mark.parametrize("r", [10 ** 9 + 7, 10 ** 30 + 57])
+@pytest.mark.parametrize("cond, want", [
+    (["--darmon", "2,3,5"], "index: 1\ninvariant_factors: []\nfree_rank: 0\ncone_full: True\n"
+                            "nm_plus_equals_n: True\n" + _NOTES),
+    (["--cond", _FINITE_SET_COND], "index: 4\ninvariant_factors: [2, 2]\nfree_rank: 0\n"
+                                   "cone_full: True\nnm_plus_equals_n: False\n" + _NOTES),
+])
+def test_a_singular_cone_of_huge_index_answers_at_once(capsys, cold_caches, monkeypatch,
+                                                       r, cond, want):
+    """P(1,1,r) at r = 10^9 + 7 and 10^30 + 57 answers in well under a second,
+    since a pullback reads the few vertices of each ideal's hull.  At the
+    small r' = r mod 60 + 60, where one reduced point per coset of the index
+    (oracles.ideal_reduced_points) stands in for the vertices, the output is
+    the same; 60 is a multiple of every multiplicity here."""
+    start = time.perf_counter()
+    assert run(capsys, "analyze", "--fan", f"p11r:{r}", *cond) == (0, want, "")
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(fan_module, "_ideal_vertices", oracles.ideal_reduced_points)
+    assert run(capsys, "analyze", "--fan", f"p11r:{r % 60 + 60}", *cond) == (0, want, "")
+
+
 @pytest.mark.parametrize("argv, msg", [
     (["example", "p11r", "--m", "2,3"], "example p11r needs 3 multiplicities, got 2"),
     (["example", "hirzebruch", "--m", "2,2"], "example hirzebruch needs 4 multiplicities, got 2"),
@@ -546,6 +574,12 @@ def _field_flag(field) -> list:
     (["validate", *_fan_flag(max_cones=[[0, 1], 2, [0, 2]])], "max_cones must be a JSON list, got 2"),
     (["analyze", "--fan", "p2", "--cond", '{"type": "custom", "vectors": [5]}'],
      "cannot read conditions: vectors must be a JSON list, got 5"),
+    # a target key is a prime in ASCII digits, though int() reads " 7", "+7",
+    # "1_1" and an Arabic-Indic 7 too
+    *[(["approximate", "--fan", "p2", "--campana", "2,2,2", "--targets",
+        json.dumps({key: {"point": {"coords": ["1", "2", "3"]}}})],
+       f"cannot read targets: target keys must be primes in decimal digits, got {key!r}")
+      for key in ("x", " 7", "+7", "1_1", "7.0", "\u0667")],
 ])
 def test_a_json_object_takes_only_its_own_keys(capsys, argv, msg):
     """A fan, field, point or target given as JSON with a key it does not

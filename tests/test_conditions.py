@@ -288,8 +288,8 @@ def test_nm_singular_reuses_the_pullback_of_an_equal_refinement(monkeypatch):
     pair = ToricPair(weighted_P11r(3), darmon([2, 3, 7]))
     first = nm_singular(pair, resolve_2d(weighted_P11r(3)))
     calls = []
-    fn = fan_module._ideal_corners
-    monkeypatch.setattr(fan_module, "_ideal_corners", lambda *a: calls.append(a) or fn(*a))
+    fn = fan_module._ideal_vertices
+    monkeypatch.setattr(fan_module, "_ideal_vertices", lambda *a: calls.append(a) or fn(*a))
     second = nm_singular(pair, resolve_2d(weighted_P11r(3)))
     assert calls == []
     assert second == first

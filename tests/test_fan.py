@@ -1,5 +1,7 @@
 import json
+import math
 from fractions import Fraction
+from unittest import mock
 from itertools import product as iter_product
 from math import atan2, gcd
 
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+import toricapprox.fan as fan_module
 from oracles import solve_rational, stellar_subdivide
 from toricapprox.intlat import lattice_from_generators
 from toricapprox.fan import (
     Fan,
     _cone_inverses,
     _cones_are_faces,
-    _ideal_corners,
+    _hj_runs,
+    _ideal_vertices,
+    _xgcd,
     NotPrincipalError,
     RefinementMap,
     fan_validate,
@@ -123,6 +128,8 @@ def test_require_names_the_first_missing_hypothesis():
         resolve_2d(projective_space(3))
     with pytest.raises(ValueError, match="^refinement sources need a smooth fan"):
         inverse_image_coefficients(RefinementMap(p11r, p11r), 0)
+    with pytest.raises(ValueError, match="^refinement targets need a 2-D fan: only surfaces"):
+        inverse_image_coefficients(RefinementMap(projective_space(3), projective_space(3)), 0)
 
 
 def test_stellar_subdivision_of_p112_gives_h2():
@@ -162,9 +169,9 @@ def test_cartier_divisors_pull_back_to_their_cone_coordinates():
         for i in cartier:
             want = tuple(_coordinate(ref.target, v, i) for v in ref.source.rays)
             assert inverse_image_coefficients(ref, i) == want
-    # on the singular cone of P(1,1,5), of index 5, the Cartier D_2 keeps one
-    # candidate of the five reduced points: m = 0
-    assert _ideal_corners(weighted_P11r(5), 0, 2) == ((0, 0),)
+    # D_2 is no ray of the singular cone of P(1,1,5), so its ideal there is
+    # the whole dual cone, least at m = 0
+    assert _ideal_vertices(weighted_P11r(5), 0, 2) == ((0, 0),)
     # D_0 of P(1,1,2) is not Cartier: its Q-pullback 1/2 on the exceptional
     # ray rounds up to 1
     ref = resolve_2d(weighted_P11r(2))
@@ -325,48 +332,12 @@ def _complete_2d_fans(draw):
     return Fan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
 
 
-def _all_pairs_corners(f, k, i):
-    """The reduced points of _ideal_corners filtered by comparing each with
-    every kept point, in order of value sum (a test oracle): a set of m."""
-    c = f.max_cones[k]
-    rays = f.cone_rays(c)
-    inverse = _cone_inverses(f)[k][0]
-    g = [tuple(x // gcd(*a) for x in a) for a in inverse]
-    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
-    s = [dot(gl, r) for gl, r in zip(g, rays)]
-    diag = [v[j] for j, v in enumerate(lattice_from_generators(g, f.dim).basis)]
-    reduced = []
-    for z in iter_product(*(range(h) for h in diag)):
-        q = [(dot(z, r) - (j == i)) // sl for r, j, sl in zip(rays, c, s)]
-        m = tuple(zj - dot(q, col) for zj, col in zip(z, zip(*g)))
-        reduced.append((tuple(dot(m, r) for r in rays), m))
-    reduced.sort(key=lambda vm: sum(vm[0]))
-    corners = []
-    for v, m in reduced:
-        if not any(all(x <= y for x, y in zip(w, v)) for w, _ in corners):
-            corners.append((v, m))
-    return {m for _, m in corners}
-
-
-@settings(max_examples=30, deadline=None)
-@given(_complete_2d_fans())
-def test_ideal_corners_match_the_all_pairs_filter(f):
-    for k in range(len(f.max_cones)):
-        for i in f.max_cones[k]:
-            got = _ideal_corners(f, k, i)
-            assert len(set(got)) == len(got)
-            assert set(got) == _all_pairs_corners(f, k, i), (f, k, i)
-    for r in (5, 12, 40):
-        for i in range(3):
-            assert set(_ideal_corners(weighted_P11r(r), 0, i)) == \
-                _all_pairs_corners(weighted_P11r(r), 0, i)
-
-
 @settings(max_examples=30, deadline=None)
 @given(_complete_2d_fans())
 def test_inverse_image_coefficients_match_a_wide_box(f):
-    # every reduced point of an ideal has entries of size at most 4 * 5 here
-    # (see fan._ideal_corners), well inside the radius
+    # the vertices of an ideal's hull lie in the triangle (0, g_o, g_i) of its
+    # cone's primitive dual generators (see fan._ideal_vertices), whose
+    # entries are at most 5 here, well inside the radius
     ref = resolve_2d(f)
     for i in range(len(f.rays)):
         try:
@@ -375,3 +346,87 @@ def test_inverse_image_coefficients_match_a_wide_box(f):
             got = e.reason.startswith("no simultaneous")
         want = _box_pullback_oracle(ref, i, 24)
         assert got == (True if want == "not principal" else want), (f, i)
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+_PRIMITIVE = st.tuples(st.integers(-150, 150), st.integers(-150, 150)).filter(
+    lambda v: gcd(*v) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMITIVE, _PRIMITIVE)
+def test_hj_runs_expand_to_the_minimal_resolution(u, w):
+    """The expanded chain, with u before and w after it, lies in cone(u, w),
+    every two neighbours span a unimodular cone, every inner ray has b >= 2
+    (so no ray can be dropped), and the runs take at most 2 log2(m) + 2."""
+    m = abs(_det(u, w))
+    assume(m)
+    runs = _hj_runs(u, w)
+    rays = [u] + [(v[0] + j * s[0], v[1] + j * s[1]) for v, s, t in runs for j in range(t)] + [w]
+    sign = 1 if _det(u, w) > 0 else -1
+    assert all(sign * _det(u, v) >= 0 and sign * _det(v, w) >= 0 for v in rays)
+    assert all(sign * _det(a, b) == 1 for a, b in zip(rays, rays[1:])) or m == 1
+    for a, v, b in zip(rays, rays[1:], rays[2:]):
+        ab = (a[0] + b[0], a[1] + b[1])  # b v for an integer b >= 2
+        assert _det(ab, v) == 0 and ab[0] * v[0] + ab[1] * v[1] >= 2 * (v[0] ** 2 + v[1] ** 2)
+    assert len(runs) <= 2 * math.log2(m) + 2 if m > 1 else runs == []
+
+
+@st.composite
+def _singular_cones(draw):
+    """A fan of one 2-D cone on primitive rays with entries in [-150, 150], of
+    index 2 to 10^4."""
+    u, w = draw(_PRIMITIVE), draw(_PRIMITIVE)
+    assume(2 <= abs(_det(u, w)) <= 10 ** 4)
+    return Fan.make(2, [u, w], [(0, 1)])
+
+
+def _pullback_outcome(pullback, source, target, i):
+    """pullback(RefinementMap(source, target), i), or the NotPrincipalError reason."""
+    try:
+        return pullback(RefinementMap(source, target), i)
+    except NotPrincipalError as e:
+        return e.reason
+
+
+@settings(max_examples=40, deadline=None)
+@given(_singular_cones(), st.data())
+def test_ideal_vertices_match_the_coset_walk(f, data):
+    """Against one reduced point per coset (oracles.ideal_reduced_points), for
+    both divisors: every vertex lies in the ideal, the minimum over each source
+    ray is the oracle's, and inverse_image_coefficients gives the same
+    coefficients or NotPrincipalError reason on three smooth sources: a window
+    of the resolution, that window cut at a random ray and resolved, and a
+    unimodular cone anywhere."""
+    src = resolve_2d(f).source
+    j = data.draw(st.integers(0, len(src.max_cones) - 1))
+    window = Fan.make(2, src.rays, src.max_cones[j:j + 3])
+    a, b = window.cone_rays(window.max_cones[0])
+    p, q = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda v: gcd(*v) == 1))
+    c = data.draw(_PRIMITIVE)
+    _, x, y = _xgcd(*c)
+    sources = [window,
+               resolve_2d(stellar_subdivide(window, (p * a[0] + q * b[0], p * a[1] + q * b[1])
+                                            ).source).source,
+               Fan.make(2, [c, (-y, x)], [(0, 1)])]
+    inside = {n for g in sources[:2] for n in g.rays}
+    dot = lambda m, n: m[0] * n[0] + m[1] * n[1]
+    for i in (0, 1):
+        got, want = _ideal_vertices(f, 0, i), oracles.ideal_reduced_points(f, 0, i)
+        assert all(dot(m, r) >= (l == i) for m in got for l, r in enumerate(f.rays))
+        # a simultaneous minimizer minimizes each of its rays, so the oracle's
+        # points that minimize some source ray decide every cone as all do
+        least, kept = {}, set()
+        for n in {n for g in sources for n in g.rays}:
+            values = [n[0] * m0 + n[1] * m1 for m0, m1 in want]
+            least[n] = min(values)
+            kept.update(m for m, v in zip(want, values) if v == least[n])
+        assert all(min(dot(m, n) for m in got) == least[n] for n in inside), (f, i)
+        for g in sources:
+            # the uncached pullback, so that it reads the oracle's points
+            with mock.patch.object(fan_module, "_ideal_vertices", lambda *key: kept):
+                want_outcome = _pullback_outcome(inverse_image_coefficients.__wrapped__, g, f, i)
+            assert _pullback_outcome(inverse_image_coefficients, g, f, i) == want_outcome, (f, i, g)
