@@ -16,14 +16,15 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from typing import NamedTuple, Sequence
 
 from .conditions import ToricPair, Variant, _phi
 from .fan import require
 from .intlat import INF, right_inverse
-from .points import (CoxPoint, MPointWitness, ScanCapExhausted, is_m_point,
-                     is_squarefree, m_point_check, v_p)
+from .points import (CoxPoint, MPointWitness, ScanCapExhausted, _factorize_cached,
+                     is_m_point, is_squarefree, m_point_check, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
 
@@ -43,8 +44,7 @@ class LocalConstraint(namedtuple("LocalConstraint", "p target k")):
 
 
 def _scan_cap() -> int:
-    env = os.environ.get("TORICAPPROX_SCAN_CAP")
-    return int(env) if env else DEFAULT_SCAN_CAP
+    return int(os.environ.get("TORICAPPROX_SCAN_CAP") or DEFAULT_SCAN_CAP)
 
 
 def _scan_order(r: int, M: int):
@@ -77,10 +77,7 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     pnum = pden = 1  # prefactor = pnum / pden
     for c in constraints:
         v = v_p(c.target, c.p)
-        if v > 0:
-            pnum *= c.p ** v
-        else:
-            pden *= c.p ** -v
+        pnum, pden = pnum * c.p ** max(v, 0), pden * c.p ** max(-v, 0)
     residues = []
     for c in constraints:
         # target/prefactor is a p-adic unit: the other constraints' prime
@@ -119,6 +116,7 @@ class GammaData(NamedTuple):
     exponents: tuple  # l x n rows, E = rinv R^T for the ray matrix R_ij = n_i[j]
 
 
+@lru_cache(maxsize=256)
 def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
     if pair.conditions.variant is not Variant.PRODUCT:
@@ -158,9 +156,8 @@ def solve_local_exponents(gd: GammaData, target: CoxPoint) -> list:
 
     c_s = prod_j a_j^(rinv[s][j]) for the torus characters
     a_j = prod_i t_i^(R_ij), that is c_s = prod_i t_i^(E[s][i]) with
-    E = rinv R^T (gd.exponents): one monomial per s."""
-    if target.zero_support():
-        raise ValueError("targets must have all-nonzero coordinates")
+    E = rinv R^T (gd.exponents): one monomial per s, for a target with
+    all-nonzero coordinates."""
     return [Fraction(*_monomial(target.coords, row)) for row in gd.exponents]
 
 
@@ -169,6 +166,24 @@ def recombine(pair: ToricPair, gd: GammaData, cs: Sequence[Fraction]) -> tuple:
     the c_s turned into a Fraction."""
     return tuple(Fraction(*_monomial(cs, [m[i] for m in gd.generators]))
                  for i in range(len(pair.fan.rays)))
+
+
+def _lift_rows(gd: GammaData, lifts: Sequence[Fraction], coords: Sequence[Fraction]) -> dict:
+    """{q: [v_q(Q_i)]_i} merged from the lifts' factorizations, v_q(Q_i) =
+    sum_s m_s[i] v_q(f_s), and checked exactly against every coordinate, so that
+    it rests on the Q_i and not on recombine: AssertionError on a mismatch."""
+    rows = {}
+    for m, f in zip(gd.generators, lifts):
+        for part, sign in ((abs(f.numerator), 1), (f.denominator, -1)):
+            for q, e in _factorize_cached(part):
+                row = rows.setdefault(q, [0] * len(m))
+                for i, x in enumerate(m):
+                    row[i] += sign * e * x
+    rows = {q: row for q, row in rows.items() if any(row)}
+    for i, c in enumerate(coords):
+        if _monomial(rows, [r[i] for r in rows.values()]) != (abs(c.numerator), c.denominator):
+            raise AssertionError(f"the lifts' factorizations do not give coordinate {i} = {c}")
+    return rows
 
 
 class ApproxCertificate(NamedTuple):
@@ -210,10 +225,7 @@ def _closeness_valuation(pair, p, Q_coords, target_coords):
 
 def _guard_digits(p: int, msum: int) -> int:
     """The least g >= 1 with p^g >= msum, which is max(1, ceil(log_p msum))."""
-    g = 1
-    while p ** g < msum:
-        g += 1
-    return g
+    return next(g for g in count(1) if p ** g >= msum)
 
 
 def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
@@ -221,9 +233,8 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
 
     targets maps a prime to (CoxPoint on pair.fan, digits).  Requires a smooth
     complete fan and N_M = N.  One point is built, from one squarefree lift per
-    single-ray generator m_s, and its certificate is recomputed through the
-    points module.
-    The construction always verifies:
+    single-ray generator m_s; its certificate reads the coordinates'
+    factorizations off the lifts' (_lift_rows).  The construction always verifies:
 
     * Closeness.  solve_local_exponents gives c_s with a(recombine(c)) =
       a(target) for the torus characters a_j.  The lift of c_s at p is
@@ -248,12 +259,14 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     require(fan, "approximations", "smooth", "complete")
     if not targets:
         pt = CoxPoint.make(fan, [1] * len(fan.rays))
-        w = is_m_point(pair, pt)
-        return ApproxCertificate(pt, (), (), (), w)
+        return ApproxCertificate(pt, (), (), (), is_m_point(pair, pt))
     primes = tuple(sorted(targets))
     for p in primes:
         if targets[p][0].fan != fan:
             raise ValueError(f"target at p={p} lies on another fan than the pair's")
+        if targets[p][0].zero_support():
+            raise ValueError(f"target at p={p} has a zero coordinate; "
+                             "targets must have all-nonzero coordinates")
         k = targets[p][1]
         if type(k) is not int or k < 1:  # a bool is not an int here
             raise ValueError(f"digits at p={p} must be an integer >= 1, got {k!r}")
@@ -272,7 +285,7 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     coords = recombine(pair, gd, lifts)
     point = CoxPoint.make(fan, coords)
     witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
-                                   {}, primes)
+                                   {}, primes, _lift_rows(gd, lifts, point.coords))
     closeness = tuple(
         (p, targets[p][1], _closeness_valuation(pair, p, coords, targets[p][0].coords))
         for p in primes)

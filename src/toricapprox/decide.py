@@ -80,6 +80,12 @@ def _resolve_flags(field: FieldDescriptor, flags: Optional[FieldFlags]) -> Field
     return flags if flags is not None else default_flags(field)
 
 
+def _flag_notes(field: FieldDescriptor, flags: FieldFlags) -> tuple:
+    """The flags' notes, ending the reasons of a verdict a flag leaves undecided over
+    a function field; over a number field only G_m(B) is unknown, and none is added."""
+    return () if field.kind.value == "number_field" else flags.notes
+
+
 def decide_m_approx(pair: ToricPair, field: FieldDescriptor, T_nonempty: bool,
                     flags: Optional[FieldFlags] = None) -> Verdict:
     """M-approximation off T (T_nonempty) or everywhere (T empty)."""
@@ -109,15 +115,15 @@ def decide_m_approx(pair: ToricPair, field: FieldDescriptor, T_nonempty: bool,
             return Verdict("m_approximation", Holds.YES, reason, inv)
         return Verdict("m_approximation", Holds.SUFFICIENT_ONLY,
                        reason + ("Pic(C) finite generation not established: the "
-                                 "criterion is sufficient, equivalence unverified",),
-                       inv)
+                                 "criterion is sufficient, equivalence unverified",)
+                       + _flag_notes(field, flags), inv)
     idx = "infinite" if inv.index == INF else str(inv.index)
     reason = (f"index |N:N_M| = {idx} does not lie in rho(K,C) ({rho.note})",)
     if pic is TriBool.TRUE:
         return Verdict("m_approximation", Holds.NO, reason, inv)
     return Verdict("m_approximation", Holds.UNKNOWN,
                    reason + ("necessity needs Pic(C) finitely generated, which is "
-                             "not established",), inv)
+                             "not established",) + _flag_notes(field, flags), inv)
 
 
 def integral_any_pair(fan: Fan, removed: Sequence[int]) -> ToricPair:
@@ -302,6 +308,8 @@ def classify_thinness(pair: ToricPair, field: FieldDescriptor,
                        "density is equivalent to stable thinness")
     else:
         dense = TriBool.UNKNOWN
+    if cls is Thinness.UNKNOWN or dense is TriBool.UNKNOWN:
+        reasons += _flag_notes(field, flags)
     return ThinnessReport(cls, d_list, dense, tuple(reasons), inv)
 
 

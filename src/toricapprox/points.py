@@ -329,7 +329,7 @@ class MPointWitness(NamedTuple):
 _YES = MPointWitness(True)
 
 
-def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -> tuple:
+def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(), rows=None) -> tuple:
     """The M-point verdict of the point with Cox coordinates coords on fan, at
     every prime outside skip: (witness, multiplicity vectors).
 
@@ -337,7 +337,8 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
     require_point_fan admits (the caller checks it).  The cached
     factorization of each |numerator| and denominator (an int is its own
     numerator) is read in place, without a copy, into the valuation vector
-    (v_p(x_i))_i of every prime p dividing one.  Its key is the vector itself
+    (v_p(x_i))_i of every prime p dividing one, unless the caller passes these
+    vectors as rows {p: vector}.  Its key is the vector itself
     at an interior point; at a boundary point it is INF on the zero set and
     each finite entry less the least finite one, which is the valuation vector
     of the coprime integer representative.  The per-fan memo maps a key to its
@@ -366,7 +367,11 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
             return MPointWitness(False, None, hit[1]), None
     witness = _YES
     out = []
-    for p, key in _valuation_keys(coords, zeros, skip):
+    rows = _valuation_rows(coords) if rows is None else rows
+    for p in sorted(rows):
+        if p in skip:
+            continue
+        key = _boundary_key(rows[p], zeros) if zeros else tuple(rows[p])
         hit = verdicts.get(key)
         if hit is None:
             memo = _mult_memo(fan)
@@ -380,9 +385,9 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=()) -
     return witness, tuple(out)
 
 
-def _valuation_keys(coords, zeros: int, skip) -> list:
-    """[(p, valuation key), ...] ascending over the primes not in skip that
-    divide a numerator or denominator of the coordinates (see m_point_check)."""
+def _valuation_rows(coords) -> dict:
+    """{p: [v_p(x_i) for each i]} over the primes p that divide a numerator or
+    denominator of the coordinates, a zero coordinate reading 0."""
     n = len(coords)
     vals = {}
     for i, c in enumerate(coords):
@@ -395,13 +400,7 @@ def _valuation_keys(coords, zeros: int, skip) -> list:
                     if row is None:
                         row = vals[p] = [0] * n
                     row[i] = sign * e
-    keys = []
-    for p in sorted(vals):
-        if p in skip:
-            continue
-        v = vals[p]
-        keys.append((p, _boundary_key(v, zeros) if zeros else tuple(v)))
-    return keys
+    return vals
 
 
 def is_m_point(pair: ToricPair, P: CoxPoint, excluded_primes=()) -> MPointWitness:

@@ -12,7 +12,8 @@ every signed tuple, and the character oracle counts the interior orbits as
 distinct torus characters, with no multiplicity vector.  crosscheck judges each (divisor, value) once; its oracle
 here asks the arithmetic oracle again for every tuple.  The point
 construction evaluates integer monomials; the approximation oracles multiply
-Fractions character by character.  The package reads a rank off the HNF
+Fractions character by character.  The certificate reads each coordinate's
+factorization off the lifts'; its oracle factors the coordinates.  The package reads a rank off the HNF
 (intlat.lattice_from_generators), the sign group of the relation torus off its
 definition and the common-face test off one primal LP; the tests check them
 against a fraction-free elimination, a Smith-form kernel basis and the dual
@@ -28,7 +29,9 @@ import math
 from fractions import Fraction
 from itertools import count, product
 
-from toricapprox.approx import ApproxCertificate, LocalConstraint, build_gamma
+from toricapprox.approx import (ApproxCertificate, LocalConstraint, _closeness_valuation,
+                                _guard_digits, build_gamma, recombine, solve_local_exponents,
+                                squarefree_approximate)
 from toricapprox.conditions import Variant, _phi
 from toricapprox.enumerate import CrosscheckReport, _oracle_admits, _sign_group
 from toricapprox.fan import Fan, RefinementMap, _cone_inverses, minimal_cone_containing
@@ -371,6 +374,36 @@ def approximate(pair, targets) -> dict:
     close = tuple((p, targets[p][1], closeness(pair, p, coords, targets[p][0].coords))
                   for p in primes)
     return ApproxCertificate(point, close, mults, primes, witness).to_json()
+
+
+def lifts_of(pair, targets) -> list:
+    """The lifts f_s that m_point_approximate(pair, targets) builds, through the
+    package's own construction steps, for a nonempty targets dict."""
+    gd = build_gamma(pair)
+    msum = max(sum(m[i] for m in gd.generators) for i in range(len(pair.fan.rays)))
+    cs = {p: solve_local_exponents(gd, targets[p][0]) for p in targets}
+    lifts = []
+    for s in range(len(gd.generators)):
+        cons = [LocalConstraint(p, cs[p][s], targets[p][1] + _guard_digits(p, msum))
+                for p in sorted(targets)]
+        lifts += squarefree_approximate(cons, 1, avoid=[f.numerator for f in lifts])
+    return lifts
+
+
+def certificate_from_coordinates(pair, targets) -> ApproxCertificate:
+    """The certificate of m_point_approximate(pair, targets), for a nonempty
+    targets dict, checked by factoring every coordinate, numerator and
+    denominator, as m_point_check does without rows; the package reads the
+    factorizations off the lifts."""
+    fan = pair.fan
+    primes = tuple(sorted(targets))
+    point = CoxPoint.make(fan, recombine(pair, build_gamma(pair), lifts_of(pair, targets)))
+    witness, mults = m_point_check(fan, point.coords, pair.conditions.admits_vector,
+                                   {}, primes)
+    close = tuple((p, targets[p][1],
+                   _closeness_valuation(pair, p, point.coords, targets[p][0].coords))
+                  for p in primes)
+    return ApproxCertificate(point, close, mults, primes, witness)
 
 
 def ideal_reduced_points(f: Fan, k: int, i: int) -> list:

@@ -24,7 +24,8 @@ from toricapprox.approx import (
 from toricapprox.conditions import (DivisorCondition, Kind, MultiplicitySet, ToricPair,
                                     campana, darmon)
 from toricapprox.fan import hirzebruch, product, projective_space
-from toricapprox.points import CoxPoint, is_m_point, is_squarefree, v_p
+from toricapprox import points
+from toricapprox.points import CoxPoint, FactorizationError, is_m_point, is_squarefree, v_p
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -117,6 +118,19 @@ def test_build_gamma_p1():
 def test_build_gamma_rejects_proper_sublattice():
     with pytest.raises(ValueError, match="index"):
         build_gamma(ToricPair(P1, darmon([2, 2])))
+
+
+def test_build_gamma_is_computed_once_per_pair():
+    """Equal pairs built apart share one GammaData; a pair it rejects raises
+    on every call, since a raised error is not cached."""
+    a = build_gamma(ToricPair(P2, campana([2, 3, 2])))
+    assert build_gamma(ToricPair(projective_space(2), campana([2, 3, 2]))) is a
+    for pair, msg in ((ToricPair(P2, darmon([2, 2, 2])), "index"),
+                      (ToricPair(P1, darmon([2, 4])), "index"),
+                      (ToricPair(P1, MultiplicitySet.custom([(0, 0), (2, 3)])), "per-divisor")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=msg):
+                build_gamma(pair)
 
 
 def test_recombination_identity():
@@ -314,3 +328,117 @@ def test_the_right_inverse_stays_small():
             except ValueError:
                 continue
             assert max(abs(x) for row in gd.exponents for x in row) < 300, (fan, ms)
+
+
+@pytest.mark.parametrize("coords", [[0, 1, 1], [3, 0, 5]])
+def test_a_zero_target_is_refused_before_the_construction(monkeypatch, coords):
+    """The error names the prime, and no right inverse is computed for it."""
+    def gamma(pair):
+        raise AssertionError("build_gamma called for a zero target")
+
+    monkeypatch.setattr(approx, "build_gamma", gamma)
+    targets = {2: (CoxPoint.make(P2, [1, 3, 5]), 2), 11: (CoxPoint.make(P2, coords), 1)}
+    with pytest.raises(ValueError) as info:
+        m_point_approximate(ToricPair(P2, campana([2, 2, 2])), targets)
+    assert info.value.args == ("target at p=11 has a zero coordinate; "
+                               "targets must have all-nonzero coordinates",)
+
+
+_PAIR_FANS = (P1, P2, product(P1, P1)) + tuple(hirzebruch(r) for r in range(4))
+
+
+@st.composite
+def _campana_darmon_requests(draw):
+    """An index-1 Campana or Darmon pair with targets at 1-3 primes <= 13, each
+    to 1-4 digits."""
+    fan = draw(st.sampled_from(_PAIR_FANS))
+    kind = draw(st.sampled_from((Kind.CAMPANA, Kind.DARMON)))
+    pair = ToricPair(fan, MultiplicitySet.of([DivisorCondition(kind, draw(st.integers(1, 5)))
+                                              for _ in fan.rays]))
+    try:
+        build_gamma(pair)
+    except ValueError:
+        assume(False)
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=3,
+                           unique=True))
+    return pair, {p: (CoxPoint.make(fan, [draw(_COORD) for _ in fan.rays]),
+                      draw(st.integers(1, 4))) for p in primes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_campana_darmon_requests())
+def test_the_certificate_from_the_lifts_equals_the_one_from_the_coordinates(request):
+    """Reading each coordinate's factorization off the lifts gives the
+    certificate that factoring the coordinates gives.  Where factoring a
+    coordinate gives up, the lifts still certify the point."""
+    pair, targets = request
+    try:
+        want = oracles.certificate_from_coordinates(pair, targets).to_json()
+    except FactorizationError:  # a coordinate or a scan candidate
+        want = None
+    try:
+        got = m_point_approximate(pair, targets).to_json()
+    except FactorizationError:  # a scan candidate, which the oracle's scan meets too
+        assert want is None
+        return
+    if want is None:
+        assert got["verified"]
+        return
+    assert got == want
+    gd, lifts = build_gamma(pair), oracles.lifts_of(pair, targets)
+    coords = recombine(pair, gd, lifts)
+    assert approx._lift_rows(gd, lifts, coords) == points._valuation_rows(coords)
+
+
+def test_lift_rows_drop_a_prime_whose_powers_cancel():
+    """Q_0 = 8^2 (1/4)^3 = 1 and Q_1 = 15: 2 divides two lifts and no
+    coordinate, so it has no row, as when the coordinates are factored."""
+    gd = GammaData(((2, 0), (3, 0), (0, 1)), ())
+    lifts = [Fraction(8), Fraction(1, 4), Fraction(15)]
+    coords = recombine(ToricPair(P1, campana([2, 1])), gd, lifts)
+    assert coords == (1, 15)
+    assert approx._lift_rows(gd, lifts, coords) == points._valuation_rows(coords) == {
+        3: [0, 1], 5: [0, 1]}
+
+
+def test_the_certificate_factors_only_the_lifts(monkeypatch, cold_caches):
+    """A request whose coordinates reach 54 digits factors nothing larger than
+    a lift's numerator or denominator."""
+    seen, recombined = [], []
+    factor, recombine_ = points._factorize_cached, approx.recombine
+
+    def spy_factor(n):
+        seen.append(n)
+        return factor(n)
+
+    def spy_recombine(pair, gd, lifts):
+        recombined.append((lifts, recombine_(pair, gd, lifts)))
+        return recombined[-1][1]
+
+    monkeypatch.setattr(points, "_factorize_cached", spy_factor)
+    monkeypatch.setattr(approx, "_factorize_cached", spy_factor)
+    monkeypatch.setattr(approx, "recombine", spy_recombine)
+    target = CoxPoint.make(P2, [1, 2, 3])
+    cert = m_point_approximate(ToricPair(P2, campana([2, 2, 2])), {7: (target, 5), 11: (target, 5)})
+    assert cert.verified() and len(recombined) == 1
+    (lifts, coords), = recombined
+    largest = max(max(abs(f.numerator), f.denominator) for f in lifts)
+    assert seen and max(seen) <= largest
+    assert max(abs(c.numerator) for c in coords) > 10 ** 50 > largest
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda f: f[:-1] + ((f[-1][0], f[-1][1] + 1),),  # one exponent too many
+    lambda f: f + ((1000003, 1),),  # a prime that does not divide the lift
+    lambda f: f[1:],  # a prime left out
+])
+def test_a_wrong_lift_factorization_raises(monkeypatch, corrupt):
+    """The rows are checked against the coordinates: a lift factorization
+    that is wrong anywhere raises AssertionError and never yields a
+    certificate."""
+    factor = points._factorize_cached
+    monkeypatch.setattr(approx, "_factorize_cached",
+                        lambda n: corrupt(factor(n)) if n > 1 else factor(n))
+    target = CoxPoint.make(P2, [1, 2, 3])
+    with pytest.raises(AssertionError, match="lifts' factorizations do not give coordinate"):
+        m_point_approximate(ToricPair(P2, campana([2, 2, 2])), {7: (target, 2)})

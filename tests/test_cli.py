@@ -171,6 +171,26 @@ def test_approximate(capsys):
     assert obj["verified"] is True
 
 
+def test_approximate_names_the_prime_of_a_zero_target(capsys):
+    targets = json.dumps({"3": {"point": {"coords": ["1", "2", "5"]}, "digits": 1},
+                          "7": {"point": {"coords": ["0", "1", "1"]}, "digits": 2}})
+    rc, out, err = run(capsys, "approximate", "--fan", "p2", "--campana", "2,2,2",
+                       "--targets", targets)
+    assert (rc, out) == (2, "")
+    assert err == ("input error: target at p=7 has a zero coordinate; "
+                   "targets must have all-nonzero coordinates\n")
+
+
+def test_approximate_exits_3_when_the_lifts_do_not_give_the_point(capsys, monkeypatch):
+    """A lift factorization that disagrees with the coordinates is a defect."""
+    monkeypatch.setattr("toricapprox.approx._factorize_cached", lambda n: ((2, 1),))
+    targets = json.dumps({"7": {"point": {"coords": ["5", "1"]}, "digits": 2}})
+    rc, out, err = run(capsys, "approximate", "--fan", "p1", "--darmon", "2,3",
+                       "--targets", targets)
+    assert (rc, out) == (3, "")
+    assert err.startswith("computational defect: the lifts' factorizations do not give")
+
+
 # the point that an earlier, unreduced construction built for the targets of
 # the test below
 _54_DIGIT_POINT = {"coords": ["24143586550969712769244366690405113",
@@ -591,12 +611,18 @@ def test_a_json_object_takes_only_its_own_keys(capsys, argv, msg):
 
 def test_thinness_over_a_function_field_with_no_place_count(capsys):
     """The excluded places of a global function field are not given, so
-    whether G_m(B) is finite, and the density verdict, are unknown, as over Q."""
+    whether G_m(B) is finite, and the density verdict, are unknown, as over Q.
+    Over the function field the reasons end with the flags' note, which says
+    what decides G_m(B); over Q they are unchanged."""
     field = json.dumps({"kind": "global_function_field", "q": 4})
     verdicts = [json.loads(run(capsys, "decide", "thinness", "--fan", "p2", "--darmon", "2,2,2",
                                "--json", *flag)[1]) for flag in ([], ["--field", field])]
     assert [v["zariski_dense"] for v in verdicts] == ["unknown", "unknown"]
-    assert not any("G_m(B)" in r for v in verdicts for r in v["reasons"])
+    assert verdicts[0]["reasons"] == [
+        "finite index 4 with unit quotients finite: strictly d-thin for d in [2, 4]"]
+    assert verdicts[1]["reasons"] == verdicts[0]["reasons"] + [
+        "G_m(B) is finite iff at most one place is excluded; pass the number of "
+        "excluded places to decide"]
 
 
 # each: the help, version or usage error that the parser of the command argv

@@ -136,6 +136,32 @@ def test_thinness_unknown_base():
     assert rep.classification is Thinness.UNKNOWN
 
 
+def test_a_verdict_a_flag_leaves_undecided_ends_with_the_flags_notes():
+    sc = FieldDescriptor.function_field(BaseClass.SEPARABLY_CLOSED, 0)
+    other = FieldDescriptor.function_field(BaseClass.OTHER, 0)
+    gff = FieldDescriptor.global_function_field(4)
+    undecided = [
+        (decide_m_approx(ToricPair(P2, darmon([2, 2, 2])), sc, True), sc),  # SUFFICIENT_ONLY
+        (decide_m_approx(ToricPair(P1, darmon([2, 2])), other, True), other),  # UNKNOWN
+        (classify_thinness(ToricPair(P1, darmon([2, 2])), other), other),  # both unknown
+        (classify_thinness(ToricPair(P2, darmon([2, 2, 2])), gff), gff),  # G_m(B) unknown
+    ]
+    for verdict, field in undecided:
+        notes = default_flags(field).notes
+        assert notes and verdict.reasons[-len(notes):] == notes
+        assert verdict.reasons[:-len(notes)] and not set(verdict.reasons[:-len(notes)]) & set(notes)
+    # every flag known: the reasons carry no note
+    known = FieldFlags(TriBool.TRUE, TriBool.TRUE, TriBool.TRUE, notes=("a note",))
+    assert decide_m_approx(ToricPair(P2, darmon([2, 2, 2])), sc, True, known).holds is Holds.YES
+    rep = classify_thinness(ToricPair(P1, darmon([2, 2])), sc, known)
+    assert rep.zariski_dense is TriBool.TRUE
+    assert "a note" not in rep.reasons
+    # over a number field the reasons stay as they were, G_m(B) unknown included
+    rep = classify_thinness(ToricPair(P1, darmon([2, 2])), Q)
+    assert rep.zariski_dense is TriBool.UNKNOWN
+    assert rep.reasons == ("finite index 2 with unit quotients finite: strictly d-thin for d in [2]",)
+
+
 def test_closed_form_examples():
     rho = rho_of(Q)
     assert darmon_projective_closed_form(3, (2, 3, 5), rho, True).holds is Holds.YES
