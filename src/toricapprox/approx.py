@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 from .conditions import ToricPair, Variant, _phi
 from .fan import require
 from .intlat import INF, right_inverse
-from .points import (CoxPoint, MPointWitness, ScanCapExhausted, _factorize_cached,
+from .points import (CoxPoint, MPointWitness, ScanCapExhausted, _valuation_rows,
                      is_m_point, is_squarefree, m_point_check, v_p)
 
 DEFAULT_SCAN_CAP = 10 ** 7
@@ -44,7 +44,8 @@ class LocalConstraint(namedtuple("LocalConstraint", "p target k")):
 
 
 def _scan_cap() -> int:
-    return int(os.environ.get("TORICAPPROX_SCAN_CAP") or DEFAULT_SCAN_CAP)
+    env = os.environ.get("TORICAPPROX_SCAN_CAP")
+    return int(env) if env else DEFAULT_SCAN_CAP
 
 
 def _scan_order(r: int, M: int):
@@ -77,7 +78,10 @@ def squarefree_approximate(constraints: Sequence[LocalConstraint], R: int = 1,
     pnum = pden = 1  # prefactor = pnum / pden
     for c in constraints:
         v = v_p(c.target, c.p)
-        pnum, pden = pnum * c.p ** max(v, 0), pden * c.p ** max(-v, 0)
+        if v > 0:
+            pnum *= c.p ** v
+        else:
+            pden *= c.p ** -v
     residues = []
     for c in constraints:
         # target/prefactor is a p-adic unit: the other constraints' prime
@@ -116,6 +120,7 @@ class GammaData(NamedTuple):
     exponents: tuple  # l x n rows, E = rinv R^T for the ray matrix R_ij = n_i[j]
 
 
+# kept per pair: it pays off only when one process makes several requests for a pair
 @lru_cache(maxsize=256)
 def build_gamma(pair: ToricPair) -> GammaData:
     fan = pair.fan
@@ -169,17 +174,13 @@ def recombine(pair: ToricPair, gd: GammaData, cs: Sequence[Fraction]) -> tuple:
 
 
 def _lift_rows(gd: GammaData, lifts: Sequence[Fraction], coords: Sequence[Fraction]) -> dict:
-    """{q: [v_q(Q_i)]_i} merged from the lifts' factorizations, v_q(Q_i) =
-    sum_s m_s[i] v_q(f_s), and checked exactly against every coordinate, so that
-    it rests on the Q_i and not on recombine: AssertionError on a mismatch."""
+    """{q: [v_q(Q_i)]_i} from the lifts' factorizations, v_q(Q_i) = sum_s m_s[i] v_q(f_s),
+    checked against every coordinate Q_i (not recombine): AssertionError on a mismatch."""
     rows = {}
-    for m, f in zip(gd.generators, lifts):
-        for part, sign in ((abs(f.numerator), 1), (f.denominator, -1)):
-            for q, e in _factorize_cached(part):
-                row = rows.setdefault(q, [0] * len(m))
-                for i, x in enumerate(m):
-                    row[i] += sign * e * x
-    rows = {q: row for q, row in rows.items() if any(row)}
+    for q, v in _valuation_rows(lifts).items():
+        row = [sum(e * m[i] for e, m in zip(v, gd.generators)) for i in range(len(coords))]
+        if any(row):
+            rows[q] = row
     for i, c in enumerate(coords):
         if _monomial(rows, [r[i] for r in rows.values()]) != (abs(c.numerator), c.denominator):
             raise AssertionError(f"the lifts' factorizations do not give coordinate {i} = {c}")
@@ -225,7 +226,10 @@ def _closeness_valuation(pair, p, Q_coords, target_coords):
 
 def _guard_digits(p: int, msum: int) -> int:
     """The least g >= 1 with p^g >= msum, which is max(1, ceil(log_p msum))."""
-    return next(g for g in count(1) if p ** g >= msum)
+    g = 1
+    while p ** g < msum:
+        g += 1
+    return g
 
 
 def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
@@ -259,7 +263,8 @@ def m_point_approximate(pair: ToricPair, targets: dict) -> ApproxCertificate:
     require(fan, "approximations", "smooth", "complete")
     if not targets:
         pt = CoxPoint.make(fan, [1] * len(fan.rays))
-        return ApproxCertificate(pt, (), (), (), is_m_point(pair, pt))
+        w = is_m_point(pair, pt)
+        return ApproxCertificate(pt, (), (), (), w)
     primes = tuple(sorted(targets))
     for p in primes:
         if targets[p][0].fan != fan:

@@ -26,6 +26,7 @@ from .fan import Fan, is_smooth, require, resolve_2d
 from .fields import (
     FieldDescriptor,
     FieldFlags,
+    FieldKind,
     RhoSpec,
     TriBool,
     default_flags,
@@ -81,9 +82,8 @@ def _resolve_flags(field: FieldDescriptor, flags: Optional[FieldFlags]) -> Field
 
 
 def _flag_notes(field: FieldDescriptor, flags: FieldFlags) -> tuple:
-    """The flags' notes, ending the reasons of a verdict a flag leaves undecided over
-    a function field; over a number field only G_m(B) is unknown, and none is added."""
-    return () if field.kind.value == "number_field" else flags.notes
+    """The flags' notes, which end a verdict a flag leaves undecided; none over a number field."""
+    return () if field.kind is FieldKind.NUMBER_FIELD else flags.notes
 
 
 def decide_m_approx(pair: ToricPair, field: FieldDescriptor, T_nonempty: bool,
@@ -157,7 +157,7 @@ def decide_strong_approx(fan: Fan, removed_divisors: Sequence[int],
     else:
         remarks.append("N/N_M has positive rank: pi_1 is infinite and Pic(V) has "
                        "positive corank obstructions")
-    if field.kind.value == "number_field" and inner.holds is Holds.YES:
+    if field.kind is FieldKind.NUMBER_FIELD and inner.holds is Holds.YES:
         remarks.append("over a number field this matches the vanishing of "
                        "Br(V)/Br_0(V) together with O(V) = K")
     return Verdict("strong_approximation", inner.holds,

@@ -338,8 +338,8 @@ def m_point_check(fan: Fan, coords: Sequence, admits, verdicts: dict, skip=(), r
     factorization of each |numerator| and denominator (an int is its own
     numerator) is read in place, without a copy, into the valuation vector
     (v_p(x_i))_i of every prime p dividing one, unless the caller passes these
-    vectors as rows {p: vector}.  Its key is the vector itself
-    at an interior point; at a boundary point it is INF on the zero set and
+    vectors as rows {p: vector}.  Its key is the vector itself at an interior
+    point; at a boundary point it is INF on the zero set and
     each finite entry less the least finite one, which is the valuation vector
     of the coprime integer representative.  The per-fan memo maps a key to its
     multiplicity vector; a key not in it goes once through _multiplicities.

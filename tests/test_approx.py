@@ -416,7 +416,6 @@ def test_the_certificate_factors_only_the_lifts(monkeypatch, cold_caches):
         return recombined[-1][1]
 
     monkeypatch.setattr(points, "_factorize_cached", spy_factor)
-    monkeypatch.setattr(approx, "_factorize_cached", spy_factor)
     monkeypatch.setattr(approx, "recombine", spy_recombine)
     target = CoxPoint.make(P2, [1, 2, 3])
     cert = m_point_approximate(ToricPair(P2, campana([2, 2, 2])), {7: (target, 5), 11: (target, 5)})
@@ -437,7 +436,7 @@ def test_a_wrong_lift_factorization_raises(monkeypatch, corrupt):
     that is wrong anywhere raises AssertionError and never yields a
     certificate."""
     factor = points._factorize_cached
-    monkeypatch.setattr(approx, "_factorize_cached",
+    monkeypatch.setattr(points, "_factorize_cached",
                         lambda n: corrupt(factor(n)) if n > 1 else factor(n))
     target = CoxPoint.make(P2, [1, 2, 3])
     with pytest.raises(AssertionError, match="lifts' factorizations do not give coordinate"):

@@ -183,7 +183,7 @@ def test_approximate_names_the_prime_of_a_zero_target(capsys):
 
 def test_approximate_exits_3_when_the_lifts_do_not_give_the_point(capsys, monkeypatch):
     """A lift factorization that disagrees with the coordinates is a defect."""
-    monkeypatch.setattr("toricapprox.approx._factorize_cached", lambda n: ((2, 1),))
+    monkeypatch.setattr("toricapprox.points._factorize_cached", lambda n: ((2, 1),))
     targets = json.dumps({"7": {"point": {"coords": ["5", "1"]}, "digits": 2}})
     rc, out, err = run(capsys, "approximate", "--fan", "p1", "--darmon", "2,3",
                        "--targets", targets)
